@@ -268,6 +268,31 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessStream is BenchmarkCacheAccess on the HPC access
+// shape: four sequential read streams and one sequential write stream
+// interleaved round-robin over disjoint 16 MiB regions, so the stream
+// prefetcher trains and its fill path runs on every access (random lines
+// never train it).
+func BenchmarkCacheAccessStream(b *testing.B) {
+	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := cache.New(cache.DefaultConfig(), mem)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const streams, region = 5, 16 << 20
+	var lines [streams]uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := i % streams
+		addr := uint64(s)*region + lines[s]*64%region
+		lines[s]++
+		h.Access(units.Duration(i), trace.Ref{Addr: addr, Write: s == streams-1}, units.GHzOf(2.5))
+	}
+}
+
 func BenchmarkMemsysAccess(b *testing.B) {
 	mem, err := memsys.NewSimulator(memsys.DefaultConfig())
 	if err != nil {

@@ -279,6 +279,33 @@ func (l *level) victim(line uint64) int {
 	return int(base) + vi
 }
 
+// probe is find and victim in one scan, for a miss that is followed
+// immediately by an insert into the same set: it returns the hit way and
+// -1, or -1 and the way victim would pick (the first invalid way,
+// otherwise the first way with the strictly smallest LRU stamp).
+func (l *level) probe(line uint64) (hit, victim int) {
+	base := l.setBase(line)
+	tags := l.tags[base : base+uint64(l.assoc)]
+	lru := l.lru[base : base+uint64(l.assoc)]
+	vi, inv := 0, -1
+	for i := range tags {
+		switch {
+		case tags[i] == line:
+			return int(base) + i, -1
+		case tags[i] == invalidTag:
+			if inv < 0 {
+				inv = i
+			}
+		case inv < 0 && lru[i] < lru[vi]:
+			vi = i
+		}
+	}
+	if inv >= 0 {
+		vi = inv
+	}
+	return -1, int(base) + vi
+}
+
 func (l *level) touch(i int) {
 	l.lruClock++
 	l.lru[i] = l.lruClock

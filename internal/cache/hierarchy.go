@@ -146,14 +146,24 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 				l.invalidate(i)
 			}
 		}
+		if h.pf != nil {
+			h.pf.forget(line)
+		}
 		h.mem.Access(now, ref.Addr, memsys.Write)
 		h.ctr.MemNTWrites++
 		return Outcome{HitLevel: len(h.levels)}
 	}
 
+	llc := len(h.levels) - 1
+	victim := -1 // LLC way a demand miss fills, from the LLC probe
 	for li, l := range h.levels {
 		h.ctr.Levels[li].Accesses++
-		ei := l.find(line)
+		var ei int
+		if li == llc {
+			ei, victim = l.probe(line)
+		} else {
+			ei = l.find(line)
+		}
 		if ei < 0 {
 			continue
 		}
@@ -215,7 +225,6 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 		}
 		return out
 	}
-	llc := len(h.levels) - 1
 
 	// Missed everywhere: demand fill from memory.
 	h.ctr.Levels[llc].DemandMisses++
@@ -227,7 +236,7 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 		h.ctr.DemandLoadMisses++
 		h.ctr.DemandMissLatency += res.Latency
 	}
-	h.insert(now, line, llc, ref.Write, false, 0)
+	h.insertAt(now, line, llc, victim, ref.Write, false, 0)
 	h.fillUpward(now, line, llc, ref.Write)
 	if h.pf != nil && !ref.NoPrefetch {
 		h.pf.observe(h, now, line)
@@ -238,17 +247,11 @@ func (h *Hierarchy) Access(now units.Duration, ref trace.Ref, freq units.Hertz) 
 // fillUpward installs line into every level above upTo (exclusive), so the
 // next access hits the L1. Misses at inner levels are counted against
 // those levels (their DemandMisses), which keeps per-level hit-rate
-// statistics meaningful.
+// statistics meaningful. Both callers have just seen every level above
+// upTo miss in Access's scan, and no eviction cascade inserts line, so
+// each level is a plain insert.
 func (h *Hierarchy) fillUpward(now units.Duration, line uint64, upTo int, write bool) {
 	for li := upTo - 1; li >= 0; li-- {
-		l := h.levels[li]
-		if ei := l.find(line); ei >= 0 {
-			l.touch(ei)
-			if write {
-				l.flags[ei] |= flagDirty
-			}
-			continue
-		}
 		h.ctr.Levels[li].DemandMisses++
 		h.insert(now, line, li, write, false, 0)
 	}
@@ -257,8 +260,13 @@ func (h *Hierarchy) fillUpward(now units.Duration, line uint64, upTo int, write 
 // insert places line into level li, evicting as needed. Dirty victims are
 // written to the next level; dirty LLC victims go to memory.
 func (h *Hierarchy) insert(now units.Duration, line uint64, li int, dirty, pref bool, readyAt units.Duration) {
+	h.insertAt(now, line, li, h.levels[li].victim(line), dirty, pref, readyAt)
+}
+
+// insertAt is insert into way v, which must be the way victim picks for
+// line (a probe that missed supplies it without a second scan).
+func (h *Hierarchy) insertAt(now units.Duration, line uint64, li, v int, dirty, pref bool, readyAt units.Duration) {
 	l := h.levels[li]
-	v := l.victim(line)
 	if l.flags[v]&flagValid != 0 {
 		h.evict(now, li, v)
 	}
@@ -292,6 +300,9 @@ func (h *Hierarchy) evict(now units.Duration, li, v int) {
 				inner.invalidate(ej)
 			}
 		}
+		if h.pf != nil {
+			h.pf.forget(tag)
+		}
 	}
 	if l.flags[v]&flagDirty == 0 {
 		l.invalidate(v)
@@ -304,10 +315,10 @@ func (h *Hierarchy) evict(now units.Duration, li, v int) {
 		h.ctr.MemWritebacks++
 	} else {
 		// Push dirty data down one level.
-		if ej := h.levels[li+1].find(tag); ej >= 0 {
+		if ej, vj := h.levels[li+1].probe(tag); ej >= 0 {
 			h.levels[li+1].flags[ej] |= flagDirty
 		} else {
-			h.insert(now, tag, li+1, true, false, 0)
+			h.insertAt(now, tag, li+1, vj, true, false, 0)
 		}
 	}
 	l.invalidate(v)
@@ -318,13 +329,14 @@ func (h *Hierarchy) evict(now units.Duration, li, v int) {
 // an in-flight arrival time.
 func (h *Hierarchy) prefetchFill(now units.Duration, line uint64) {
 	llc := len(h.levels) - 1
-	if h.levels[llc].find(line) >= 0 {
+	ei, v := h.levels[llc].probe(line)
+	if ei >= 0 {
 		return // already present or in flight
 	}
 	res := h.mem.Access(now, line*uint64(h.cfg.LineSize), memsys.Read)
 	h.ctr.MemPrefReads++
 	h.ctr.PrefIssued++
-	h.insert(now, line, llc, false, true, now+res.Latency)
+	h.insertAt(now, line, llc, v, false, true, now+res.Latency)
 	if llc >= 1 {
 		h.insert(now, line, llc-1, false, true, now+res.Latency)
 	}

@@ -20,6 +20,10 @@ type stream struct {
 	last  uint64 // last line observed
 	dir   int64  // +1 or -1
 	hits  int
+	// ahead is the known-present window: lines last+dir … last+ahead·dir
+	// are in the LLC, so observe skips their fills (each would find the
+	// line and return). Every LLC departure truncates it through forget.
+	ahead int
 	lru   uint64
 }
 
@@ -60,17 +64,20 @@ func (p *prefetcher) observe(h *Hierarchy, now units.Duration, line uint64) {
 	if (delta == 1 || delta == -1) && (s.hits == 0 || dir == s.dir) {
 		s.hits++
 		s.dir = dir
+		// The step consumed the window's first line.
+		s.ahead = max(s.ahead-1, 0)
 	} else {
 		// Reset training on a non-sequential step.
 		s.hits = 1
 		s.dir = dir
+		s.ahead = 0
 	}
 	s.last = line
 
 	if s.hits < p.cfg.TrainHits {
 		return
 	}
-	for i := 1; i <= p.cfg.Depth; i++ {
+	for i := s.ahead + 1; i <= p.cfg.Depth; i++ {
 		next := int64(line) + int64(i)*s.dir
 		if next < 0 {
 			break
@@ -78,7 +85,28 @@ func (p *prefetcher) observe(h *Hierarchy, now units.Duration, line uint64) {
 		if uint64(next)/linesPerPage != page {
 			break // streams stop at page boundaries, like real HW prefetchers
 		}
+		// Claim line i before filling it: if the fill's own eviction
+		// cascade drops it or an earlier window line, forget truncates
+		// the window below i and later fills no longer extend it.
+		if s.ahead == i-1 {
+			s.ahead = i
+		}
 		h.prefetchFill(now, uint64(next))
+	}
+}
+
+// forget is called whenever line leaves the LLC. It truncates the owning
+// stream's known-present window just before line, so observe re-issues
+// the fill instead of trusting a stale window. Valid streams have unique
+// pages (allocate runs only when lookup misses), so at most one stream
+// owns line.
+func (p *prefetcher) forget(line uint64) {
+	s := p.lookup(line / linesPerPage)
+	if s == nil || s.ahead == 0 {
+		return
+	}
+	if k := (int64(line) - int64(s.last)) * s.dir; k >= 1 && k <= int64(s.ahead) {
+		s.ahead = int(k) - 1
 	}
 }
 

@@ -126,3 +126,51 @@ func TestInclusionInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefetchWindowsPresent checks the invariant the prefetcher's skip
+// rests on: after every Access, every line inside every valid stream's
+// known-present window (last+dir … last+ahead·dir) is in the LLC. It
+// runs the differential test's geometries and traffic, including the
+// direct-mapped and few-set LLCs where fills evict their own stream's
+// lines and NT stores land inside trained windows.
+func TestPrefetchWindowsPresent(t *testing.T) {
+	for name, cfg := range witnessConfigs() {
+		if !cfg.Prefetch.Enabled {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for traffic, next := range map[string]func() trace.Ref{
+					"mixed":   mixedTraffic(seed),
+					"streams": streamTraffic(seed, cfg.Prefetch),
+				} {
+					h, err := New(cfg, &fakeMem{latency: 80})
+					if err != nil {
+						t.Fatal(err)
+					}
+					llc := h.levels[len(h.levels)-1]
+					windowed := 0
+					for i := 0; i < 10_000; i++ {
+						h.Access(units.Duration(i)*7, next(), units.GHzOf(2.5))
+						for si, s := range h.pf.streams {
+							if !s.valid {
+								continue
+							}
+							windowed += s.ahead
+							for k := 1; k <= s.ahead; k++ {
+								line := uint64(int64(s.last) + int64(k)*s.dir)
+								if llc.find(line) < 0 {
+									t.Fatalf("%s seed %d op %d: stream %d (last %d dir %d ahead %d) window line %d missing from the LLC",
+										traffic, seed, i, si, s.last, s.dir, s.ahead, line)
+								}
+							}
+						}
+					}
+					if windowed == 0 {
+						t.Fatalf("%s seed %d: no stream ever held a window; the check is vacuous", traffic, seed)
+					}
+				}
+			}
+		})
+	}
+}

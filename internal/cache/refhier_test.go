@@ -15,7 +15,10 @@ import (
 // struct-of-arrays layout in cache.go/hierarchy.go replaced, verbatim.
 // TestSoAMatchesReference drives both with identical random mixed streams
 // and demands identical Outcomes and Counters, witnessing that the
-// reordered layout changed representation only.
+// reordered layout changed representation only. The reference also keeps
+// the original prefetcher, which re-issues every line of a trained
+// stream's Depth on each step; the production prefetcher skips lines it
+// knows are present and must still fill exactly the same lines.
 
 type refEntry struct {
 	tag     uint64
@@ -92,7 +95,7 @@ func newRefHierarchy(t *testing.T, cfg Config, mem Memory) *refHierarchy {
 	}
 	h.ctr.Levels = make([]LevelCounters, len(cfg.Levels))
 	if cfg.Prefetch.Enabled {
-		h.pf = &refPrefetcher{cfg: cfg.Prefetch, streams: make([]stream, cfg.Prefetch.Streams)}
+		h.pf = &refPrefetcher{cfg: cfg.Prefetch, streams: make([]refStream, cfg.Prefetch.Streams)}
 	}
 	return h
 }
@@ -242,11 +245,21 @@ func (h *refHierarchy) prefetchFill(now units.Duration, line uint64) {
 	}
 }
 
-// refPrefetcher mirrors prefetcher exactly, targeting refHierarchy.
+// refPrefetcher is the prefetcher before known-present windows: every
+// trained step probes all Depth lines ahead.
 type refPrefetcher struct {
 	cfg     PrefetchConfig
-	streams []stream
+	streams []refStream
 	clock   uint64
+}
+
+type refStream struct {
+	valid bool
+	page  uint64
+	last  uint64
+	dir   int64
+	hits  int
+	lru   uint64
 }
 
 func (p *refPrefetcher) observe(h *refHierarchy, now units.Duration, line uint64) {
@@ -291,7 +304,7 @@ func (p *refPrefetcher) observe(h *refHierarchy, now units.Duration, line uint64
 	}
 }
 
-func (p *refPrefetcher) lookup(page uint64) *stream {
+func (p *refPrefetcher) lookup(page uint64) *refStream {
 	for i := range p.streams {
 		if p.streams[i].valid && p.streams[i].page == page {
 			return &p.streams[i]
@@ -300,8 +313,8 @@ func (p *refPrefetcher) lookup(page uint64) *stream {
 	return nil
 }
 
-func (p *refPrefetcher) allocate(page, line uint64) *stream {
-	var v *stream
+func (p *refPrefetcher) allocate(page, line uint64) *refStream {
+	var v *refStream
 	for i := range p.streams {
 		if !p.streams[i].valid {
 			v = &p.streams[i]
@@ -311,7 +324,7 @@ func (p *refPrefetcher) allocate(page, line uint64) *stream {
 			v = &p.streams[i]
 		}
 	}
-	*v = stream{valid: true, page: page, last: line, lru: p.clock}
+	*v = refStream{valid: true, page: page, last: line, lru: p.clock}
 	return v
 }
 
@@ -329,67 +342,175 @@ func nonPow2Config(prefetch bool) Config {
 	}
 }
 
-// TestSoAMatchesReference is the determinism witness for the SoA layout:
-// random mixed traffic (loads, stores, NT stores, sequential bursts that
-// train the prefetcher) through both implementations over a live
-// memsys.Simulator must produce identical Outcomes, cache Counters, and
+// directMappedConfig has a one-way LLC: every fill evicts whatever held
+// its set, so a prefetch's own eviction cascade regularly drops lines of
+// the stream it is extending.
+func directMappedConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 2 * 2 * 64, Assoc: 2, HitLatency: 0},
+			{Name: "L2", Size: 4 * 2 * 64, Assoc: 2, HitLatency: 5},
+			{Name: "LLC", Size: 32 * 64, Assoc: 1, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 4, Depth: 8, TrainHits: 2},
+	}
+}
+
+// fewSetsConfig has fewer LLC sets (2) than prefetch Depth (8), so one
+// step's fills compete for the same sets as the window they extend.
+func fewSetsConfig() Config {
+	return Config{
+		LineSize: 64,
+		Levels: []LevelConfig{
+			{Name: "L1", Size: 1 * 2 * 64, Assoc: 2, HitLatency: 0},
+			{Name: "L2", Size: 2 * 2 * 64, Assoc: 2, HitLatency: 5},
+			{Name: "LLC", Size: 2 * 4 * 64, Assoc: 4, HitLatency: 14},
+		},
+		Prefetch: PrefetchConfig{Enabled: true, Streams: 4, Depth: 8, TrainHits: 2},
+	}
+}
+
+// witnessConfigs are the geometries the differential and invariant tests
+// sweep: pow2 and modulo set indexing, prefetch on and off, and the two
+// geometries where prefetch fills evict their own stream's lines.
+func witnessConfigs() map[string]Config {
+	return map[string]Config{
+		"small-pf":     smallConfig(true),
+		"small-nopf":   smallConfig(false),
+		"default":      DefaultConfig(),
+		"nonpow2-pf":   nonPow2Config(true),
+		"nonpow2-off":  nonPow2Config(false),
+		"directmapped": directMappedConfig(),
+		"fewsets":      fewSetsConfig(),
+	}
+}
+
+// mixedTraffic is random loads, stores and NT stores over 2^14 lines,
+// with a third of references advancing one ascending sequential burst
+// that trains a stream.
+func mixedTraffic(seed uint64) func() trace.Ref {
+	rng := trace.NewRNG(seed * 0x9E37)
+	seq := uint64(0)
+	return func() trace.Ref {
+		r := trace.Ref{}
+		switch {
+		case rng.Bernoulli(0.35):
+			r.Addr = (1 << 30) + seq*64
+			seq++
+		default:
+			r.Addr = rng.Uint64n(1<<14) * 64
+		}
+		if rng.Bernoulli(0.3) {
+			r.Write = true
+			r.NonTemporal = rng.Bernoulli(0.1)
+		}
+		r.NoPrefetch = rng.Bernoulli(0.05)
+		return r
+	}
+}
+
+// streamTraffic interleaves ascending and descending sequential cursors,
+// three more than the prefetcher tracks, over 48 pages, so streams are
+// reallocated, collide on pages and reverse mid-page. Some references
+// are NT stores a few lines ahead of a cursor, inside its trained
+// window, and some are random lines that evict window lines.
+func streamTraffic(seed uint64, pf PrefetchConfig) func() trace.Ref {
+	rng := trace.NewRNG(seed*0x51ED + 3)
+	const pages = 48
+	n := pf.Streams + 3
+	lines := make([]int64, n)
+	dirs := make([]int64, n)
+	place := func(j int) {
+		lines[j] = int64(rng.Uint64n(pages * linesPerPage))
+		dirs[j] = 1
+		if rng.Bernoulli(0.5) {
+			dirs[j] = -1
+		}
+	}
+	for j := range lines {
+		place(j)
+	}
+	depth := uint64(max(pf.Depth, 1))
+	return func() trace.Ref {
+		if rng.Bernoulli(0.1) {
+			return trace.Ref{Addr: rng.Uint64n(1<<14) * 64, Write: rng.Bernoulli(0.3)}
+		}
+		j := rng.Intn(n)
+		switch {
+		case rng.Bernoulli(0.02):
+			place(j)
+		case rng.Bernoulli(0.03):
+			dirs[j] = -dirs[j]
+		}
+		line, dir := lines[j], dirs[j]
+		if rng.Bernoulli(0.08) {
+			nt := line + dir*int64(1+rng.Uint64n(depth))
+			if nt >= 0 && nt/linesPerPage == line/linesPerPage {
+				return trace.Ref{Addr: uint64(nt) * 64, Write: true, NonTemporal: true}
+			}
+		}
+		next := line + dir
+		if next < 0 || next/linesPerPage != line/linesPerPage {
+			dirs[j] = -dir
+			next = line - dir
+		}
+		lines[j] = next
+		return trace.Ref{
+			Addr:       uint64(next) * 64,
+			Write:      rng.Bernoulli(0.2),
+			NoPrefetch: rng.Bernoulli(0.03),
+		}
+	}
+}
+
+// TestSoAMatchesReference is the determinism witness for the SoA layout
+// and the prefetcher's known-present windows: random mixed traffic
+// (loads, stores, NT stores, sequential bursts that train the
+// prefetcher) and interleaved reversing streams with NT stores inside
+// their windows, through both implementations over a live
+// memsys.Simulator, must produce identical Outcomes, cache Counters, and
 // memory-side Counters.
 func TestSoAMatchesReference(t *testing.T) {
-	configs := map[string]Config{
-		"small-pf":    smallConfig(true),
-		"small-nopf":  smallConfig(false),
-		"default":     DefaultConfig(),
-		"nonpow2-pf":  nonPow2Config(true),
-		"nonpow2-off": nonPow2Config(false),
-	}
-	for name, cfg := range configs {
+	for name, cfg := range witnessConfigs() {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
-				memA, err := memsys.NewSimulator(memsys.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				memB, err := memsys.NewSimulator(memsys.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				soa, err := New(cfg, memA)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := newRefHierarchy(t, cfg, memB)
-				rng := trace.NewRNG(seed * 0x9E37)
-				seq := uint64(0)
-				for i := 0; i < 20_000; i++ {
-					r := trace.Ref{}
-					switch {
-					case rng.Bernoulli(0.35):
-						// Sequential burst position: trains streams.
-						r.Addr = (1 << 30) + seq*64
-						seq++
-					default:
-						r.Addr = rng.Uint64n(1<<14) * 64
-					}
-					if rng.Bernoulli(0.3) {
-						r.Write = true
-						r.NonTemporal = rng.Bernoulli(0.1)
-					}
-					r.NoPrefetch = rng.Bernoulli(0.05)
-					now := units.Duration(i) * 7
-					got := soa.Access(now, r, units.GHzOf(2.5))
-					want := ref.access(now, r, units.GHzOf(2.5))
-					if got != want {
-						t.Fatalf("seed %d op %d (%+v): SoA %+v != reference %+v", seed, i, r, got, want)
-					}
-				}
-				if got, want := soa.Counters(), ref.counters(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: counters diverged:\nSoA %+v\nref %+v", seed, got, want)
-				}
-				if got, want := memA.Counters(), memB.Counters(); got != want {
-					t.Fatalf("seed %d: memory counters diverged:\nSoA %+v\nref %+v", seed, got, want)
-				}
+				witnessReference(t, cfg, "mixed", seed, mixedTraffic(seed))
+				witnessReference(t, cfg, "streams", seed, streamTraffic(seed, cfg.Prefetch))
 			}
 		})
+	}
+}
+
+func witnessReference(t *testing.T, cfg Config, traffic string, seed uint64, next func() trace.Ref) {
+	t.Helper()
+	memA, err := memsys.NewSimulator(memsys.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	memB, err := memsys.NewSimulator(memsys.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	soa, err := New(cfg, memA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefHierarchy(t, cfg, memB)
+	for i := 0; i < 20_000; i++ {
+		r := next()
+		now := units.Duration(i) * 7
+		got := soa.Access(now, r, units.GHzOf(2.5))
+		want := ref.access(now, r, units.GHzOf(2.5))
+		if got != want {
+			t.Fatalf("%s seed %d op %d (%+v): SoA %+v != reference %+v", traffic, seed, i, r, got, want)
+		}
+	}
+	if got, want := soa.Counters(), ref.counters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s seed %d: counters diverged:\nSoA %+v\nref %+v", traffic, seed, got, want)
+	}
+	if got, want := memA.Counters(), memB.Counters(); got != want {
+		t.Fatalf("%s seed %d: memory counters diverged:\nSoA %+v\nref %+v", traffic, seed, got, want)
 	}
 }
 
@@ -401,7 +522,7 @@ func TestHierarchyResetMatchesFresh(t *testing.T) {
 		rng := trace.NewRNG(seed)
 		outs := make([]Outcome, 0, 4000)
 		for i := 0; i < 4000; i++ {
-			r := trace.Ref{Addr: rng.Uint64n(1 << 12) * 64, Write: rng.Bernoulli(0.25)}
+			r := trace.Ref{Addr: rng.Uint64n(1<<12) * 64, Write: rng.Bernoulli(0.25)}
 			outs = append(outs, h.Access(units.Duration(i)*5, r, units.GHzOf(2.5)))
 		}
 		return outs
@@ -482,7 +603,7 @@ func BenchmarkCountersInto(b *testing.B) {
 	}
 	rng := trace.NewRNG(7)
 	for i := 0; i < 10_000; i++ {
-		h.Access(units.Duration(i), trace.Ref{Addr: rng.Uint64n(1 << 20) * 64}, units.GHzOf(2.5))
+		h.Access(units.Duration(i), trace.Ref{Addr: rng.Uint64n(1<<20) * 64}, units.GHzOf(2.5))
 	}
 	var dst Counters
 	b.ReportAllocs()

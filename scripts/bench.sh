@@ -21,9 +21,14 @@
 #                   <REPRO_PROFILE>_mem.prof from the suite pass
 #
 # The smoke mode also gates allocation regressions: the steady-state
-# hot paths (CacheAccess, MemsysAccess) must stay at zero allocs/op and
-# MachineSimulation under a fixed ceiling, so an accidental allocation
-# on the measurement path fails CI instead of landing silently.
+# hot paths (CacheAccess, CacheAccessStream, MemsysAccess) must stay at
+# zero allocs/op and MachineSimulation under a fixed ceiling, so an
+# accidental allocation on the measurement path fails CI instead of
+# landing silently.
+#
+# The host record gives num_cpu (nproc, the CPUs this process may run
+# on), gomaxprocs (the GOMAXPROCS env value, else nproc — Go's default)
+# and cpu_flag (the -cpu value every benchmark ran with).
 #
 # Output: BENCH_repro.json (override with BENCH_OUT). No jq dependency:
 # the JSON is assembled from `go test -bench` output with awk/printf.
@@ -110,6 +115,7 @@ check_allocs() {
 # add ~50 at -cpu 8 on small boxes); 220 is ~1.5x headroom over the
 # worst observed.
 check_allocs CacheAccess 0
+check_allocs CacheAccessStream 0
 check_allocs MemsysAccess 0
 check_allocs MachineSimulation 220
 
@@ -117,7 +123,9 @@ check_allocs MachineSimulation 220
 	printf '{\n'
 	printf '  "mode": "%s",\n' "$MODE"
 	printf '  "go": "%s",\n' "$(go version)"
-	printf '  "cpu": %s,\n' "$CPU"
+	printf '  "num_cpu": %s,\n' "$(nproc)"
+	printf '  "gomaxprocs": %s,\n' "${GOMAXPROCS:-$(nproc)}"
+	printf '  "cpu_flag": %s,\n' "$CPU"
 	printf '  "suite_benchtime": "%s",\n' "$SUITE_TIME"
 	printf '  "benchmarks": [\n'
 	first=1
