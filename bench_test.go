@@ -22,6 +22,7 @@ import (
 	"repro/internal/queueing"
 	"repro/internal/sim"
 	"repro/internal/simcache"
+	"repro/internal/solve"
 	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workgen"
@@ -181,20 +182,20 @@ func BenchmarkAblationSolver(b *testing.B) {
 		cpi := p.CPIEffAt(mp, units.GHzOf(2.5))
 		return p.Demand(cpi, units.GHzOf(2.5), 64) * 16
 	}
-	b.Run("bisection", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := queueing.Solve(context.Background(), sys, demand, queueing.SolveOptions{}); err != nil {
-				b.Fatal(err)
+	sc := sys.Scenario("ablation", demand)
+	for _, m := range []struct {
+		name   string
+		method solve.Method
+	}{{"bisection", solve.Bisect}, {"damped", solve.Damped}} {
+		solver := solve.Solver{Options: solve.Options{Method: m.method}}
+		b.Run(m.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := solver.Solve(context.Background(), sc); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("damped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := queueing.SolveDamped(context.Background(), sys, demand, queueing.SolveOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkAblationBlockingFactor compares the constant-BF Eq. 1 against

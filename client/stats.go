@@ -77,16 +77,17 @@ func (c *Client) ResetStats() Stats {
 }
 
 // WriteMetrics renders the client counters in Prometheus text
-// exposition format, mirroring the daemon's /metrics vocabulary so
-// both sides of a chaos run can be scraped the same way.
+// exposition format, each family under its # TYPE line, mirroring the
+// daemon's /metrics vocabulary so both sides of a chaos run can be
+// scraped the same way.
 func (c *Client) WriteMetrics(w io.Writer) {
 	st := c.Stats()
-	fmt.Fprintf(w, "memmodel_client_attempts_total %d\n", st.Attempts)
-	fmt.Fprintf(w, "memmodel_client_retries_total %d\n", st.Retries)
-	fmt.Fprintf(w, "memmodel_client_successes_total %d\n", st.Successes)
-	fmt.Fprintf(w, "memmodel_client_failures_total %d\n", st.Failures)
-	fmt.Fprintf(w, "memmodel_client_circuit_fast_fails_total %d\n", st.CircuitFastFails)
-	fmt.Fprintf(w, "memmodel_client_retry_after_honored_total %d\n", st.RetryAfterHonored)
-	fmt.Fprintf(w, "memmodel_client_breaker_opens_total %d\n", st.BreakerOpens)
-	fmt.Fprintf(w, "memmodel_client_backoff_seconds_total %.6f\n", st.BackoffTotal.Seconds())
+	fmt.Fprintf(w, "# TYPE memmodel_client_attempts_total counter\nmemmodel_client_attempts_total %d\n", st.Attempts)
+	fmt.Fprintf(w, "# TYPE memmodel_client_retries_total counter\nmemmodel_client_retries_total %d\n", st.Retries)
+	fmt.Fprintf(w, "# TYPE memmodel_client_successes_total counter\nmemmodel_client_successes_total %d\n", st.Successes)
+	fmt.Fprintf(w, "# TYPE memmodel_client_failures_total counter\nmemmodel_client_failures_total %d\n", st.Failures)
+	fmt.Fprintf(w, "# TYPE memmodel_client_circuit_fast_fails_total counter\nmemmodel_client_circuit_fast_fails_total %d\n", st.CircuitFastFails)
+	fmt.Fprintf(w, "# TYPE memmodel_client_retry_after_honored_total counter\nmemmodel_client_retry_after_honored_total %d\n", st.RetryAfterHonored)
+	fmt.Fprintf(w, "# TYPE memmodel_client_breaker_opens_total counter\nmemmodel_client_breaker_opens_total %d\n", st.BreakerOpens)
+	fmt.Fprintf(w, "# TYPE memmodel_client_backoff_seconds_total counter\nmemmodel_client_backoff_seconds_total %.6f\n", st.BackoffTotal.Seconds())
 }

@@ -56,11 +56,11 @@ func main() {
 					{Name: "PMEM", HitFraction: 1 - hit, Compulsory: pmemLatency, PeakBW: pmemBW, Queue: curve},
 				},
 			}
-			op, err := model.EvaluateTiered(ctx, p, tp)
+			pt, err := model.EvaluateTopology(ctx, p, tp.Topology())
 			if err != nil {
 				log.Fatal(err)
 			}
-			return op.CPI
+			return pt.CPI
 		}
 
 		// Search the design space for the lowest hit rate within budget

@@ -61,12 +61,12 @@ func (s *Suite) TieredMemory(ctx context.Context) (Artifact, error) {
 		row := []interface{}{fmtPct(hit)}
 		cpis := map[string]float64{}
 		for _, c := range classes {
-			op, err := model.EvaluateTiered(ctx, c, tp)
+			pt, err := model.EvaluateTopology(ctx, c, tp.Topology())
 			if err != nil {
 				return Artifact{}, err
 			}
-			cpis[c.Name] = op.CPI
-			series[c.Name] = append(series[c.Name], op.CPI)
+			cpis[c.Name] = pt.CPI
+			series[c.Name] = append(series[c.Name], pt.CPI)
 		}
 		xs = append(xs, hit)
 		row = append(row, cpis["Enterprise"], cpis["Big Data"], cpis["HPC"],

@@ -32,11 +32,11 @@ func (s *Suite) NUMAStudy(ctx context.Context) (Artifact, error) {
 
 	local := map[string]float64{}
 	for _, c := range classes {
-		op, err := model.EvaluateNUMA(ctx, c, np)
+		pt, err := model.EvaluateTopology(ctx, c, np.Topology())
 		if err != nil {
 			return Artifact{}, err
 		}
-		local[c.Name] = op.CPI
+		local[c.Name] = pt.CPI
 	}
 
 	var xs []float64
@@ -45,14 +45,14 @@ func (s *Suite) NUMAStudy(ctx context.Context) (Artifact, error) {
 		cpis := map[string]float64{}
 		var bdMP float64
 		for _, c := range classes {
-			op, err := model.EvaluateNUMA(ctx, c, np.WithRemoteFraction(rf))
+			pt, err := model.EvaluateTopology(ctx, c, np.WithRemoteFraction(rf).Topology())
 			if err != nil {
 				return Artifact{}, err
 			}
-			cpis[c.Name] = op.CPI
-			series[c.Name] = append(series[c.Name], op.CPI)
+			cpis[c.Name] = pt.CPI
+			series[c.Name] = append(series[c.Name], pt.CPI)
 			if c.Name == "Big Data" {
-				bdMP = op.EffectiveMP.Nanoseconds()
+				bdMP = pt.EffectiveMP.Nanoseconds()
 			}
 		}
 		xs = append(xs, rf)

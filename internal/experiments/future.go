@@ -91,11 +91,11 @@ func (s *Suite) FutureMemory(ctx context.Context) (Artifact, error) {
 		},
 	}
 	if err := addRow(tiered.Name, func(p model.Params) (float64, error) {
-		op, err := model.EvaluateTiered(ctx, p, tiered)
+		pt, err := model.EvaluateTopology(ctx, p, tiered.Topology())
 		if err != nil {
 			return 0, err
 		}
-		return op.CPI, nil
+		return pt.CPI, nil
 	}); err != nil {
 		return Artifact{}, err
 	}

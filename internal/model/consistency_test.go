@@ -8,18 +8,19 @@ import (
 	"repro/internal/units"
 )
 
-// Cross-evaluator consistency: the tiered (Eq. 5) and NUMA evaluators
-// must reduce to the single-tier Eq. 1/4 model when their extra degrees
-// of freedom are degenerate — one tier with hit fraction 1, or a
-// multi-socket platform with perfect locality. All three evaluators now
-// share the solve kernel, so any disagreement beyond solver tolerance
-// means an adapter diverged from the paper's equations.
+// Cross-shape consistency: the tiered (Eq. 5) and NUMA topologies must
+// reduce to the single-tier Eq. 1/4 model when their extra degrees of
+// freedom are degenerate — one tier with hit fraction 1, or a
+// multi-socket platform with perfect locality. Every shape solves
+// through EvaluateTopology and the shared kernel, so any disagreement
+// beyond solver tolerance means a topology split diverged from the
+// paper's equations.
 
-// consistencyTol bounds the allowed CPI disagreement: Evaluate bisects
-// the miss penalty to 1e-4 ns while the tiered/NUMA adapters bisect CPI
-// to 1e-9, so the fixed points can differ by the CPI sensitivity to
-// 1e-4 ns of latency (MPI×BF×cycles-per-ns×1e-4 ≪ 1e-5 for every class
-// here).
+// consistencyTol bounds the allowed CPI disagreement: the flat solve
+// bisects the miss penalty to 1e-4 ns while the local/remote split
+// bisects CPI to 1e-9, so the fixed points can differ by the CPI
+// sensitivity to 1e-4 ns of latency (MPI×BF×cycles-per-ns×1e-4 ≪ 1e-5
+// for every class here).
 const consistencyTol = 1e-5
 
 // singleTier wraps a Platform as a degenerate one-tier hierarchy.
@@ -87,7 +88,7 @@ func TestTieredDegeneratesToEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			top, err := EvaluateTiered(context.Background(), tc.p, singleTier(tc.pl))
+			top, err := EvaluateTopology(context.Background(), tc.p, singleTier(tc.pl).Topology())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +127,7 @@ func TestNUMADegeneratesToEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nop, err := EvaluateNUMA(context.Background(), tc.p, allLocal(tc.pl))
+			nop, err := EvaluateTopology(context.Background(), tc.p, allLocal(tc.pl).Topology())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,18 +141,18 @@ func TestNUMADegeneratesToEvaluate(t *testing.T) {
 				if dmp := math.Abs(float64(nop.EffectiveMP - op.MissPenalty)); dmp > 1e-3 {
 					t.Errorf("miss penalty: numa %v vs flat %v", nop.EffectiveMP, op.MissPenalty)
 				}
-				ddem := math.Abs(float64(nop.DRAMDemand-op.Demand)) / float64(op.Demand)
+				ddem := math.Abs(float64(nop.Tiers[0].Demand-op.Demand)) / float64(op.Demand)
 				if ddem > consistencyTol {
-					t.Errorf("demand: numa %v vs flat %v", nop.DRAMDemand, op.Demand)
+					t.Errorf("demand: numa %v vs flat %v", nop.Tiers[0].Demand, op.Demand)
 				}
 			}
 			// Perfect locality: no link traffic, and every miss pays only the
 			// local latency.
-			if nop.LinkDemand != 0 || nop.LinkUtil != 0 {
-				t.Errorf("zero-remote link demand = %v (util %v), want 0", nop.LinkDemand, nop.LinkUtil)
+			if nop.Tiers[1].Demand != 0 || nop.Tiers[1].Utilization != 0 {
+				t.Errorf("zero-remote link demand = %v (util %v), want 0", nop.Tiers[1].Demand, nop.Tiers[1].Utilization)
 			}
-			if nop.EffectiveMP != nop.LocalMP {
-				t.Errorf("EffectiveMP %v != LocalMP %v with RemoteFraction 0", nop.EffectiveMP, nop.LocalMP)
+			if nop.EffectiveMP != nop.Tiers[0].MissPenalty {
+				t.Errorf("EffectiveMP %v != LocalMP %v with RemoteFraction 0", nop.EffectiveMP, nop.Tiers[0].MissPenalty)
 			}
 		})
 	}

@@ -1,7 +1,6 @@
 package model
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -58,60 +57,6 @@ func (tp TieredPlatform) Validate() error {
 		return fmt.Errorf("%w: tier hit fractions sum to %.3f, want 1", ErrInvalidPlatform, sum)
 	}
 	return nil
-}
-
-// TierPoint reports one tier's share of a tiered operating point.
-type TierPoint struct {
-	Name        string
-	MissPenalty units.Duration
-	Demand      units.BytesPerSecond
-	Utilization float64
-	Saturated   bool
-}
-
-// TieredOperatingPoint is the stable solution of Eq. 5 with per-tier
-// loaded latencies.
-type TieredOperatingPoint struct {
-	CPI            float64
-	Tiers          []TierPoint
-	BandwidthBound bool
-	Iterations     int
-}
-
-// EvaluateTiered finds the Eq. 5 fixed point: each tier's loaded latency
-// depends on its share of the traffic, which depends on CPI, which
-// depends on all tiers' loaded latencies. It is the fraction-split
-// adapter over EvaluateTopology (which drives the shared bisection
-// kernel in CPI space), and is bit-identical to the pre-topology
-// evaluator for multi-tier hierarchies. As with Evaluate, a
-// solve.Recorder planted in ctx observes the solver telemetry.
-func EvaluateTiered(ctx context.Context, p Params, tp TieredPlatform) (TieredOperatingPoint, error) {
-	if err := p.Validate(); err != nil {
-		return TieredOperatingPoint{}, err
-	}
-	if err := tp.Validate(); err != nil {
-		return TieredOperatingPoint{}, err
-	}
-	pt, err := EvaluateTopology(ctx, p, tp.Topology())
-	if err != nil {
-		return TieredOperatingPoint{Iterations: pt.Iterations}, err
-	}
-	tiers := make([]TierPoint, len(pt.Tiers))
-	for i, t := range pt.Tiers {
-		tiers[i] = TierPoint{
-			Name:        t.Name,
-			MissPenalty: t.MissPenalty,
-			Demand:      t.Demand,
-			Utilization: t.Utilization,
-			Saturated:   t.Saturated,
-		}
-	}
-	return TieredOperatingPoint{
-		CPI:            pt.CPI,
-		Tiers:          tiers,
-		BandwidthBound: pt.BandwidthBound,
-		Iterations:     pt.Iterations,
-	}, nil
 }
 
 // PrefetchBFImprovement estimates the §VII observation that a better

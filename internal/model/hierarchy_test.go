@@ -2,6 +2,7 @@ package model
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestSingleTierMatchesEvaluate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiered, err := EvaluateTiered(context.Background(), p, tp)
+		tiered, err := EvaluateTopology(context.Background(), p, tp.Topology())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestTieredDegradesWithFarTier(t *testing.T) {
 	cpiAt := func(hit float64) float64 {
 		n, f := near, far
 		n.HitFraction, f.HitFraction = hit, 1-hit
-		op, err := EvaluateTiered(context.Background(), p, tieredFrom(pl, n, f))
+		op, err := EvaluateTopology(context.Background(), p, tieredFrom(pl, n, f).Topology())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestTieredEq5HandComputed(t *testing.T) {
 		Tier{Name: "far", HitFraction: 0.2, Compulsory: 225, PeakBW: pl.PeakBW, Queue: zero},
 	)
 	p := enterpriseClass()
-	op, err := EvaluateTiered(context.Background(), p, tp)
+	op, err := EvaluateTopology(context.Background(), p, tp.Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestTieredBandwidthBoundTier(t *testing.T) {
 		Tier{Name: "near", HitFraction: 0.5, Compulsory: pl.Compulsory, PeakBW: pl.PeakBW, Queue: pl.Queue},
 		Tier{Name: "far", HitFraction: 0.5, Compulsory: pl.Compulsory * 3, PeakBW: units.GBpsOf(2), Queue: pl.Queue},
 	)
-	op, err := EvaluateTiered(context.Background(), hpcClass(), tp)
+	op, err := EvaluateTopology(context.Background(), hpcClass(), tp.Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +145,15 @@ func TestTieredBandwidthBoundTier(t *testing.T) {
 func TestTieredRejectsBadInput(t *testing.T) {
 	pl := testPlatform()
 	tp := tieredFrom(pl, Tier{Name: "DRAM", HitFraction: 1, Compulsory: pl.Compulsory, PeakBW: pl.PeakBW, Queue: pl.Queue})
-	if _, err := EvaluateTiered(context.Background(), Params{}, tp); err == nil {
-		t.Fatal("want params error")
+	if _, err := EvaluateTopology(context.Background(), Params{}, tp.Topology()); !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("zero params: err = %v, want ErrInvalidParams", err)
 	}
-	if _, err := EvaluateTiered(context.Background(), bigDataClass(), tieredFrom(pl)); err == nil {
-		t.Fatal("want platform error")
+	empty := tieredFrom(pl)
+	if err := empty.Validate(); !errors.Is(err, ErrInvalidPlatform) {
+		t.Fatalf("tierless Validate: err = %v, want ErrInvalidPlatform", err)
+	}
+	if _, err := EvaluateTopology(context.Background(), bigDataClass(), empty.Topology()); !errors.Is(err, ErrInvalidPlatform) {
+		t.Fatalf("tierless topology: err = %v, want ErrInvalidPlatform", err)
 	}
 }
 

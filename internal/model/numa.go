@@ -1,7 +1,6 @@
 package model
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/queueing"
@@ -93,50 +92,6 @@ func (np NUMAPlatform) WithRemoteFraction(f float64) NUMAPlatform {
 	np.RemoteFraction = f
 	np.Name = fmt.Sprintf("%s@remote=%.0f%%", np.Name, f*100)
 	return np
-}
-
-// NUMAOperatingPoint is the per-socket stable solution (sockets are
-// symmetric, so one socket describes the machine).
-type NUMAOperatingPoint struct {
-	CPI            float64
-	LocalMP        units.Duration       // loaded latency of local misses
-	RemoteMP       units.Duration       // loaded latency of remote misses (incl. hop)
-	EffectiveMP    units.Duration       // traffic-weighted miss penalty
-	DRAMDemand     units.BytesPerSecond // per-socket DRAM traffic (local + inbound remote)
-	LinkDemand     units.BytesPerSecond // per-socket interconnect traffic
-	DRAMUtil       float64
-	LinkUtil       float64
-	BandwidthBound bool
-}
-
-// EvaluateNUMA finds the stable operating point of workload class p on a
-// symmetric NUMA platform. It is the local/remote adapter over
-// EvaluateTopology (the scalar fixed point is the per-thread CPI, found
-// by the shared bisection kernel as in EvaluateTiered), bit-identical
-// to the pre-topology evaluator. As with Evaluate, a solve.Recorder
-// planted in ctx observes the solver telemetry.
-func EvaluateNUMA(ctx context.Context, p Params, np NUMAPlatform) (NUMAOperatingPoint, error) {
-	if err := p.Validate(); err != nil {
-		return NUMAOperatingPoint{}, err
-	}
-	if err := np.Validate(); err != nil {
-		return NUMAOperatingPoint{}, err
-	}
-	pt, err := EvaluateTopology(ctx, p, np.Topology())
-	if err != nil {
-		return NUMAOperatingPoint{}, err
-	}
-	return NUMAOperatingPoint{
-		CPI:            pt.CPI,
-		LocalMP:        pt.Tiers[0].MissPenalty,
-		RemoteMP:       pt.Tiers[1].MissPenalty,
-		EffectiveMP:    pt.EffectiveMP,
-		DRAMDemand:     pt.Tiers[0].Demand,
-		LinkDemand:     pt.Tiers[1].Demand,
-		DRAMUtil:       pt.Tiers[0].Utilization,
-		LinkUtil:       pt.Tiers[1].Utilization,
-		BandwidthBound: pt.BandwidthBound,
-	}, nil
 }
 
 // DualSocketBaseline builds the two-socket version of the paper's

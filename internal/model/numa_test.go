@@ -2,6 +2,7 @@ package model
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestNUMAZeroRemoteMatchesSingleSocket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		numa, err := EvaluateNUMA(context.Background(), p, np)
+		numa, err := EvaluateTopology(context.Background(), p, np.Topology())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func TestNUMARemoteAccessesCostMore(t *testing.T) {
 	p := enterpriseClass()
 	prev := -1.0
 	for _, rf := range []float64{0, 0.25, 0.5} {
-		op, err := EvaluateNUMA(context.Background(), p, np.WithRemoteFraction(rf))
+		op, err := EvaluateTopology(context.Background(), p, np.WithRemoteFraction(rf).Topology())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,16 +75,16 @@ func TestNUMARemoteAccessesCostMore(t *testing.T) {
 
 func TestNUMAEffectiveMPIsWeighted(t *testing.T) {
 	np := dualSocket().WithRemoteFraction(0.5)
-	op, err := EvaluateNUMA(context.Background(), enterpriseClass(), np)
+	op, err := EvaluateTopology(context.Background(), enterpriseClass(), np.Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 0.5*float64(op.LocalMP) + 0.5*float64(op.RemoteMP)
+	want := 0.5*float64(op.Tiers[0].MissPenalty) + 0.5*float64(op.Tiers[1].MissPenalty)
 	if math.Abs(float64(op.EffectiveMP)-want) > 1e-6 {
 		t.Fatalf("effective MP = %v, want weighted %v", op.EffectiveMP, want)
 	}
-	if op.RemoteMP < op.LocalMP+50*units.Nanosecond {
-		t.Fatalf("remote MP (%v) must include the ~60ns hop over local (%v)", op.RemoteMP, op.LocalMP)
+	if op.Tiers[1].MissPenalty < op.Tiers[0].MissPenalty+50*units.Nanosecond {
+		t.Fatalf("remote MP (%v) must include the ~60ns hop over local (%v)", op.Tiers[1].MissPenalty, op.Tiers[0].MissPenalty)
 	}
 }
 
@@ -92,7 +93,7 @@ func TestNUMAMatchesPaperTable3Latencies(t *testing.T) {
 	// 2.1 GHz ≈ 191 ns) embed dual-socket remote accesses. A uniform
 	// interleave on the dual-socket baseline must land in that regime.
 	np := dualSocket()
-	op, err := EvaluateNUMA(context.Background(), bigDataClass(), np.WithRemoteFraction(np.UniformInterleave()))
+	op, err := EvaluateTopology(context.Background(), bigDataClass(), np.WithRemoteFraction(np.UniformInterleave()).Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestNUMALinkSaturation(t *testing.T) {
 	// link-bound.
 	np := dualSocket().WithRemoteFraction(0.5)
 	np.LinkPeakBW = units.GBpsOf(3)
-	op, err := EvaluateNUMA(context.Background(), hpcClass(), np)
+	op, err := EvaluateTopology(context.Background(), hpcClass(), np.Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestNUMALinkSaturation(t *testing.T) {
 		t.Fatal("choked link must bound the operating point")
 	}
 	wide := dualSocket().WithRemoteFraction(0.5)
-	opWide, err := EvaluateNUMA(context.Background(), hpcClass(), wide)
+	opWide, err := EvaluateTopology(context.Background(), hpcClass(), wide.Topology())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +140,16 @@ func TestNUMAUniformInterleave(t *testing.T) {
 }
 
 func TestNUMARejectsBadInput(t *testing.T) {
-	if _, err := EvaluateNUMA(context.Background(), Params{}, dualSocket()); err == nil {
-		t.Fatal("want params error")
+	if _, err := EvaluateTopology(context.Background(), Params{}, dualSocket().Topology()); !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("zero params: err = %v, want ErrInvalidParams", err)
 	}
 	np := dualSocket()
 	np.Queue = nil
-	if _, err := EvaluateNUMA(context.Background(), bigDataClass(), np); err == nil {
-		t.Fatal("want platform error")
+	if err := np.Validate(); !errors.Is(err, ErrInvalidPlatform) {
+		t.Fatalf("nil queue Validate: err = %v, want ErrInvalidPlatform", err)
+	}
+	if _, err := EvaluateTopology(context.Background(), bigDataClass(), np.Topology()); !errors.Is(err, ErrInvalidPlatform) {
+		t.Fatalf("nil queue topology: err = %v, want ErrInvalidPlatform", err)
 	}
 }
 
@@ -155,11 +159,11 @@ func TestNUMALatencySensitivityOrdering(t *testing.T) {
 	// proportionally more than it hurts HPC via latency alone.
 	np := dualSocket()
 	relCost := func(p Params) float64 {
-		local, err := EvaluateNUMA(context.Background(), p, np)
+		local, err := EvaluateTopology(context.Background(), p, np.Topology())
 		if err != nil {
 			t.Fatal(err)
 		}
-		inter, err := EvaluateNUMA(context.Background(), p, np.WithRemoteFraction(0.5))
+		inter, err := EvaluateTopology(context.Background(), p, np.WithRemoteFraction(0.5).Topology())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package model
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/queueing"
 	"repro/internal/solve"
@@ -15,11 +16,12 @@ import (
 // same mathematical object seen through different traffic splits: a set
 // of memory tiers, each with its own unloaded latency, deliverable
 // bandwidth, and queuing curve, loaded by some share of the workload's
-// miss traffic. A Topology captures that object once; Evaluate,
-// EvaluateTiered, and EvaluateNUMA are thin adapters over
-// EvaluateTopology, and every new memory-tier scenario (die-stacked
-// HBM, CXL-style far memory, sustained-vs-peak bandwidth derating) is a
-// Topology value rather than a fourth evaluator.
+// miss traffic. A Topology captures that object once and
+// EvaluateTopology is its one evaluator: Evaluate is a thin flat adapter
+// over it, TieredPlatform and NUMAPlatform convert to a Topology, and
+// every new memory-tier scenario (die-stacked HBM, CXL-style far memory,
+// sustained-vs-peak bandwidth derating) is a Topology value rather than
+// another evaluator.
 //
 // Each legacy shape keeps its historical numerics bit-for-bit: the
 // degenerate one-tier topology solves in loaded-latency space exactly
@@ -258,7 +260,7 @@ func (tp TieredPlatform) Topology() Topology {
 }
 
 // Topology converts the NUMA platform to its local/remote topology (one
-// socket describes the symmetric machine, as in EvaluateNUMA).
+// socket describes the symmetric machine).
 func (np NUMAPlatform) Topology() Topology {
 	return Topology{
 		Name:           np.Name,
@@ -623,6 +625,31 @@ func (c *topoCase) buildLocalRemote(p Params, top Topology) {
 	}
 }
 
+// result converts a kernel outcome into the case's TopologyPoint: the
+// one place EvaluateTopology and EvaluateTopologyAll build a point. A
+// platform extreme enough to overflow float64 (a 1e308 ns compulsory
+// latency, a 1e300 GHz core) solves to an Inf CPI or NaN demand without
+// any solver error, so a non-finite field is rejected here as an
+// invalid platform rather than returned.
+func (c *topoCase) result(out solve.Outcome) (TopologyPoint, error) {
+	pt, err := c.point(out)
+	if err != nil {
+		return pt, err
+	}
+	bad := func(f float64) bool { return math.IsInf(f, 0) || math.IsNaN(f) }
+	nonFinite := bad(pt.CPI) || bad(float64(pt.EffectiveMP))
+	for _, t := range pt.Tiers {
+		nonFinite = nonFinite || bad(float64(t.MissPenalty)) || bad(float64(t.Demand)) ||
+			bad(float64(t.Delivered)) || bad(t.Utilization)
+	}
+	if nonFinite {
+		return TopologyPoint{Iterations: pt.Iterations}, fmt.Errorf(
+			"%w: %s has a non-finite operating point (CPI %g, effective miss penalty %g ns)",
+			ErrInvalidPlatform, c.sc.Name, pt.CPI, float64(pt.EffectiveMP))
+	}
+	return pt, nil
+}
+
 func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
 	if a < b {
 		return a
@@ -631,10 +658,10 @@ func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
 }
 
 // EvaluateTopology finds the stable operating point of workload class p
-// on an N-tier memory topology — the single evaluator behind Evaluate,
-// EvaluateTiered, and EvaluateNUMA. As with those adapters, a
-// solve.Recorder planted in ctx observes the solver telemetry and
-// cancellation is honored before any model evaluation.
+// on an N-tier memory topology — the single evaluator behind Evaluate
+// and every tiered and multi-socket platform. A solve.Recorder planted
+// in ctx observes the solver telemetry and cancellation is honored
+// before any model evaluation.
 func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoint, error) {
 	c, err := newTopoCase(p, top)
 	if err != nil {
@@ -644,7 +671,7 @@ func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoin
 	if err != nil {
 		return TopologyPoint{Iterations: out.Iterations}, err
 	}
-	return c.point(out)
+	return c.result(out)
 }
 
 // EvaluateTopologyAll evaluates the full cross product of classes ×
@@ -681,7 +708,7 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 			if errs[k] != nil {
 				return nil, gridErr(i, p, j, top.Name, errs[k])
 			}
-			pt, err := cases[k].point(outs[k])
+			pt, err := cases[k].result(outs[k])
 			if err != nil {
 				return nil, gridErr(i, p, j, top.Name, err)
 			}

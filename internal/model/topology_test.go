@@ -12,12 +12,12 @@ import (
 	"repro/internal/units"
 )
 
-// The refactor contract (the PR 2 pattern): Evaluate, EvaluateTiered,
-// and EvaluateNUMA became adapters over EvaluateTopology, and the
-// adapters must be bit-identical to the pre-refactor evaluators. The
-// golden values below were captured from the evaluators BEFORE the
-// topology unification (strconv.FormatFloat(f, 'x', -1, 64) on every
-// field), so these tests prove the refactor changed no bits.
+// The refactor contract: the flat, tiered, and NUMA evaluators became
+// one, EvaluateTopology, and it must be bit-identical to the
+// pre-unification evaluators on every platform shape. The golden values
+// below were captured from those evaluators BEFORE the topology
+// unification (strconv.FormatFloat(f, 'x', -1, 64) on every field), so
+// these tests prove the refactor changed no bits.
 
 func mustHex(t *testing.T, s string) float64 {
 	t.Helper()
@@ -111,8 +111,9 @@ func TestFlatGoldenBitIdentity(t *testing.T) {
 	}
 }
 
-// TestTieredGoldenBitIdentity pins EvaluateTiered to the pre-refactor
-// bits, including per-tier state and iteration counts.
+// TestTieredGoldenBitIdentity pins EvaluateTopology on a tiered
+// platform's fraction topology to the pre-refactor bits, including
+// per-tier state and iteration counts.
 func TestTieredGoldenBitIdentity(t *testing.T) {
 	type tierG struct{ mp, d, u string }
 	golden := map[string]struct {
@@ -138,7 +139,7 @@ func TestTieredGoldenBitIdentity(t *testing.T) {
 	}
 	curve, cases := equivCases()
 	for _, tc := range cases {
-		op, err := EvaluateTiered(context.Background(), tc.p, equivTiered(tc.pl, curve))
+		op, err := EvaluateTopology(context.Background(), tc.p, equivTiered(tc.pl, curve).Topology())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -165,7 +166,9 @@ func TestTieredGoldenBitIdentity(t *testing.T) {
 	}
 }
 
-// TestNUMAGoldenBitIdentity pins EvaluateNUMA to the pre-refactor bits.
+// TestNUMAGoldenBitIdentity pins EvaluateTopology on a NUMA platform's
+// local/remote topology to the pre-refactor bits (tier 0 is socket
+// DRAM, tier 1 the interconnect).
 func TestNUMAGoldenBitIdentity(t *testing.T) {
 	golden := map[string]struct {
 		cpi, lmp, rmp, emp, dd, ld, du, lu string
@@ -180,31 +183,31 @@ func TestNUMAGoldenBitIdentity(t *testing.T) {
 	}
 	curve, cases := equivCases()
 	for _, tc := range cases {
-		op, err := EvaluateNUMA(context.Background(), tc.p, equivNUMA(tc.pl, curve))
+		op, err := EvaluateTopology(context.Background(), tc.p, equivNUMA(tc.pl, curve).Topology())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		g := golden[tc.name]
 		checkBits(t, tc.name+".CPI", op.CPI, g.cpi)
-		checkBits(t, tc.name+".LocalMP", float64(op.LocalMP), g.lmp)
-		checkBits(t, tc.name+".RemoteMP", float64(op.RemoteMP), g.rmp)
+		checkBits(t, tc.name+".LocalMP", float64(op.Tiers[0].MissPenalty), g.lmp)
+		checkBits(t, tc.name+".RemoteMP", float64(op.Tiers[1].MissPenalty), g.rmp)
 		checkBits(t, tc.name+".EffectiveMP", float64(op.EffectiveMP), g.emp)
-		checkBits(t, tc.name+".DRAMDemand", float64(op.DRAMDemand), g.dd)
-		checkBits(t, tc.name+".LinkDemand", float64(op.LinkDemand), g.ld)
-		checkBits(t, tc.name+".DRAMUtil", op.DRAMUtil, g.du)
-		checkBits(t, tc.name+".LinkUtil", op.LinkUtil, g.lu)
+		checkBits(t, tc.name+".DRAMDemand", float64(op.Tiers[0].Demand), g.dd)
+		checkBits(t, tc.name+".LinkDemand", float64(op.Tiers[1].Demand), g.ld)
+		checkBits(t, tc.name+".DRAMUtil", op.Tiers[0].Utilization, g.du)
+		checkBits(t, tc.name+".LinkUtil", op.Tiers[1].Utilization, g.lu)
 		if op.BandwidthBound != g.bound {
 			t.Errorf("%s.BandwidthBound = %v, want %v", tc.name, op.BandwidthBound, g.bound)
 		}
 	}
 }
 
-// TestAdaptersMatchTopology asserts each legacy evaluator returns
-// exactly what EvaluateTopology returns for the converted topology —
-// the adapters add no arithmetic of their own.
+// TestAdaptersMatchTopology asserts the flat Evaluate returns exactly
+// what EvaluateTopology returns for the platform's one-tier topology —
+// the adapter adds no arithmetic of its own.
 func TestAdaptersMatchTopology(t *testing.T) {
 	ctx := context.Background()
-	curve, cases := equivCases()
+	_, cases := equivCases()
 	for _, tc := range cases {
 		op, err := Evaluate(ctx, tc.p, tc.pl)
 		if err != nil {
@@ -217,36 +220,6 @@ func TestAdaptersMatchTopology(t *testing.T) {
 		if !bitEq(op.CPI, pt.CPI) || !bitEq(float64(op.MissPenalty), float64(pt.Tiers[0].MissPenalty)) ||
 			!bitEq(float64(op.Demand), float64(pt.Tiers[0].Demand)) || op.BandwidthBound != pt.BandwidthBound {
 			t.Errorf("%s: flat adapter diverges from 1-tier topology", tc.name)
-		}
-
-		top, err := EvaluateTiered(ctx, tc.p, equivTiered(tc.pl, curve))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tpt, err := EvaluateTopology(ctx, tc.p, equivTiered(tc.pl, curve).Topology())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitEq(top.CPI, tpt.CPI) || top.Iterations != tpt.Iterations {
-			t.Errorf("%s: tiered adapter diverges from fraction topology", tc.name)
-		}
-		for i := range top.Tiers {
-			if !bitEq(float64(top.Tiers[i].MissPenalty), float64(tpt.Tiers[i].MissPenalty)) {
-				t.Errorf("%s: tier %d penalty diverges", tc.name, i)
-			}
-		}
-
-		nop, err := EvaluateNUMA(ctx, tc.p, equivNUMA(tc.pl, curve))
-		if err != nil {
-			t.Fatal(err)
-		}
-		npt, err := EvaluateTopology(ctx, tc.p, equivNUMA(tc.pl, curve).Topology())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitEq(nop.CPI, npt.CPI) || !bitEq(float64(nop.EffectiveMP), float64(npt.EffectiveMP)) ||
-			!bitEq(float64(nop.RemoteMP), float64(npt.Tiers[1].MissPenalty)) {
-			t.Errorf("%s: NUMA adapter diverges from local/remote topology", tc.name)
 		}
 	}
 }

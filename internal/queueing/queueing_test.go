@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/solve"
 	"repro/internal/units"
 )
 
@@ -159,6 +160,28 @@ func TestSystemUtilization(t *testing.T) {
 	}
 }
 
+// solvePoint runs the shared kernel on the system's bare scenario and
+// reads back the operating point: the converged miss penalty, its
+// queuing component, the demand and utilization there, and (on
+// convergence only) the saturation verdict.
+type solvePoint struct {
+	MissPenalty, Queue units.Duration
+	Demand             units.BytesPerSecond
+	Utilization        float64
+	Saturated          bool
+}
+
+func solveSystem(sys System, demand DemandFunc, opts solve.Options) (solvePoint, error) {
+	out, err := solve.Solver{Options: opts}.Solve(context.Background(), sys.Scenario("queueing", demand))
+	mp := units.Duration(out.X)
+	d := demand(mp)
+	pt := solvePoint{MissPenalty: mp, Queue: mp - sys.Compulsory, Demand: d, Utilization: sys.Utilization(d)}
+	if out.Converged {
+		pt.Saturated = sys.Saturated(pt.Utilization)
+	}
+	return pt, err
+}
+
 func TestSolveConstantDemand(t *testing.T) {
 	// With demand independent of MP the answer is closed-form.
 	sys := System{
@@ -167,7 +190,7 @@ func TestSolveConstantDemand(t *testing.T) {
 		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
 	}
 	demand := func(units.Duration) units.BytesPerSecond { return units.GBpsOf(20) }
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
+	sol, err := solveSystem(sys, demand, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +213,7 @@ func TestSolveSaturated(t *testing.T) {
 		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
 	}
 	demand := func(units.Duration) units.BytesPerSecond { return units.GBpsOf(400) }
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
+	sol, err := solveSystem(sys, demand, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +241,11 @@ func TestSolveMatchesDampedOnShallowCurve(t *testing.T) {
 		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
 	}
 	demand := eq1Demand(1.47, 0.41, 0.0067, 0.545, 2.5, 16)
-	bis, err := Solve(context.Background(), sys, demand, SolveOptions{})
+	bis, err := solveSystem(sys, demand, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	damp, err := SolveDamped(context.Background(), sys, demand, SolveOptions{})
+	damp, err := solveSystem(sys, demand, solve.Options{Method: solve.Damped})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +263,7 @@ func TestSolveConvergesNearSaturation(t *testing.T) {
 		Curve:      MM1{Service: 6 * units.Nanosecond, ULimit: 0.95},
 	}
 	demand := eq1Demand(0.75, 0.07, 0.0267, 2.17, 2.5, 16)
-	sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
+	sol, err := solveSystem(sys, demand, solve.Options{})
 	if err != nil {
 		t.Fatalf("bisection must converge near saturation: %v", err)
 	}
@@ -265,7 +288,7 @@ func TestSolveFixedPointProperty(t *testing.T) {
 		}
 		bpi := mpki / 1000 * 1.3 * 64
 		demand := eq1Demand(1.0, bf, mpki/1000, bpi, 2.5, 16)
-		sol, err := Solve(context.Background(), sys, demand, SolveOptions{})
+		sol, err := solveSystem(sys, demand, solve.Options{})
 		if err != nil {
 			return false
 		}
@@ -288,7 +311,7 @@ func TestSolveDegenerateCurve(t *testing.T) {
 		PeakBW:     units.GBpsOf(42),
 		Curve:      MM1{Service: 0, ULimit: 0.95},
 	}
-	sol, err := Solve(context.Background(), sys, func(units.Duration) units.BytesPerSecond { return units.GBpsOf(10) }, SolveOptions{})
+	sol, err := solveSystem(sys, func(units.Duration) units.BytesPerSecond { return units.GBpsOf(10) }, solve.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,10 +327,10 @@ func TestSolveOptionsDefaults(t *testing.T) {
 	// and a literal damping of 2 overshoots instead of converging.
 	sys := System{Compulsory: 75, PeakBW: 40e9, Curve: MM1{Service: 6}}
 	demand := func(units.Duration) units.BytesPerSecond { return 20e9 }
-	if _, err := Solve(context.Background(), sys, demand, SolveOptions{TolNS: -1, MaxIter: -1, Damping: -1}); err != nil {
+	if _, err := solveSystem(sys, demand, solve.Options{Tol: -1, MaxIter: -1, Damping: -1}); err != nil {
 		t.Fatalf("zero/out-of-range options must default: %v", err)
 	}
-	if _, err := SolveDamped(context.Background(), sys, demand, SolveOptions{Damping: 2}); err != nil {
+	if _, err := solveSystem(sys, demand, solve.Options{Method: solve.Damped, Damping: 2}); err != nil {
 		t.Fatalf("out-of-range damping must default: %v", err)
 	}
 }

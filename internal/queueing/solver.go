@@ -1,8 +1,6 @@
 package queueing
 
 import (
-	"context"
-
 	"repro/internal/solve"
 	"repro/internal/units"
 )
@@ -60,35 +58,18 @@ func (s System) Saturated(u float64) bool {
 // lower demand, which is what makes the fixed point well behaved.
 type DemandFunc func(mp units.Duration) units.BytesPerSecond
 
-// Solution is the stable operating point found by Solve.
-type Solution struct {
-	MissPenalty units.Duration       // loaded latency: compulsory + queuing
-	Queue       units.Duration       // queuing component alone
-	Demand      units.BytesPerSecond // bandwidth demand at that penalty
-	Utilization float64              // demand / peak
-	Saturated   bool                 // demand reached the curve's stability limit
-	Iterations  int
-}
-
-// SolveOptions tunes the fixed-point iteration.
-type SolveOptions struct {
-	// Damping in (0,1]: fraction of the new estimate blended in per step.
-	// 1 is undamped. The paper notes "an iterative calculation to find a
-	// stable solution"; damping guarantees convergence on stiff curves.
-	Damping float64
-	// TolNS is the convergence tolerance on miss penalty in nanoseconds.
-	TolNS float64
-	// MaxIter bounds the iteration count.
-	MaxIter int
-}
-
 // Scenario composes the system and demand function into the solve
 // kernel's form: the unknown is the miss penalty in nanoseconds,
 // bracketed between the compulsory latency (no queuing) and the
 // latency at the curve's maximum stable delay, with
-// F(mp) = LoadedLatency(demand(mp)). Adapters in internal/model extend
-// the returned scenario with their CPI conversion and bandwidth limits;
-// this package's Solve uses it bare.
+// F(mp) = LoadedLatency(demand(mp)). F(mp) − mp is non-negative at the
+// left end (queuing delay cannot be negative), non-positive at the right
+// end (delay is capped at the stable maximum), and decreasing for any
+// demand that falls as the miss penalty rises — which Eq. 1 + Eq. 4
+// guarantee — so bisection always brackets the fixed point. The flat
+// evaluator in internal/model extends the returned scenario with its CPI
+// conversion and bandwidth limits; solve.Solver runs it bare or
+// extended.
 func (s System) Scenario(name string, demand DemandFunc) solve.Scenario {
 	return solve.Scenario{
 		Name:    name,
@@ -99,67 +80,4 @@ func (s System) Scenario(name string, demand DemandFunc) solve.Scenario {
 			return float64(s.LoadedLatency(demand(units.Duration(mp))))
 		},
 	}
-}
-
-// solution converts a kernel outcome back into the queueing-layer
-// operating point, re-evaluating demand at the converged penalty.
-// Saturated is only meaningful on converged solutions, matching the
-// historical solver (an exhausted iteration reports its last state
-// without a saturation verdict).
-func (s System) solution(out solve.Outcome, demand DemandFunc) Solution {
-	mp := units.Duration(out.X)
-	d := demand(mp)
-	sol := Solution{
-		MissPenalty: mp,
-		Queue:       mp - s.Compulsory,
-		Demand:      d,
-		Utilization: s.Utilization(d),
-		Iterations:  out.Iterations,
-	}
-	if out.Converged {
-		sol.Saturated = s.Saturated(sol.Utilization)
-	}
-	return sol
-}
-
-// kernel maps SolveOptions onto the shared solver.
-func kernel(o SolveOptions, m solve.Method) solve.Solver {
-	return solve.Solver{Options: solve.Options{
-		Tol:     o.TolNS,
-		MaxIter: o.MaxIter,
-		Damping: o.Damping,
-		Method:  m,
-	}}
-}
-
-// Solve finds the self-consistent loaded latency: the MP such that the
-// queuing delay implied by the workload's bandwidth demand at MP equals
-// MP − compulsory.
-//
-// It bisects F(mp) = LoadedLatency(demand(mp)) − mp on
-// [compulsory, compulsory + MaxStableDelay]: F is non-negative at the
-// left end (queuing delay cannot be negative), non-positive at the right
-// end (delay is capped at the stable maximum), and decreasing for any
-// demand function that falls as the miss penalty rises — which Eq. 1 +
-// Eq. 4 guarantee. Bisection converges where damped iteration oscillates
-// on the steep part of the queuing curve near saturation (see
-// SolveDamped, kept for the solver ablation).
-//
-// The iteration itself lives in internal/solve; this is the
-// queueing-typed adapter over that kernel. A solve.Recorder planted in
-// ctx observes the solver telemetry (iterations, residual, convergence)
-// for this fixed point.
-func Solve(ctx context.Context, sys System, demand DemandFunc, opts SolveOptions) (Solution, error) {
-	out, err := kernel(opts, solve.Bisect).Solve(ctx, sys.Scenario("queueing", demand))
-	return sys.solution(out, demand), err
-}
-
-// SolveDamped is the direct damped fixed-point iteration (the "iterative
-// calculation" the paper describes). It converges on shallow parts of the
-// curve but can oscillate near saturation; Solve's bisection is the
-// production path, and this variant exists for the solver ablation
-// (DESIGN.md §5).
-func SolveDamped(ctx context.Context, sys System, demand DemandFunc, opts SolveOptions) (Solution, error) {
-	out, err := kernel(opts, solve.Damped).Solve(ctx, sys.Scenario("queueing-damped", demand))
-	return sys.solution(out, demand), err
 }

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/internal/solve"
 )
 
@@ -98,58 +99,70 @@ func newMetrics(endpoints []string) *Metrics {
 func (m *Metrics) endpoint(name string) *endpointMetrics { return m.endpoints[name] }
 
 // render writes the Prometheus text exposition of every counter the
-// daemon tracks.
+// daemon tracks. Each family's samples are contiguous and preceded by
+// its # TYPE line, with the per-endpoint series grouped under one
+// family.
 func (m *Metrics) render(w io.Writer, cache CacheStats, adm AdmissionStats, faults FaultStats, draining bool) {
+	family := func(name, kind string) { fmt.Fprintf(w, "# TYPE %s %s\n", name, kind) }
 	up := 1
 	if draining {
 		up = 0
 	}
 	fmt.Fprintf(w, "# memmodeld live telemetry\n")
-	fmt.Fprintf(w, "memmodeld_up %d\n", up)
-	fmt.Fprintf(w, "memmodeld_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
+	fmt.Fprintf(w, "# TYPE memmodeld_up gauge\nmemmodeld_up %d\n", up)
+	fmt.Fprintf(w, "# TYPE memmodeld_uptime_seconds gauge\nmemmodeld_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
 
+	family("memmodeld_requests_total", "counter")
+	for _, name := range m.names {
+		fmt.Fprintf(w, "memmodeld_requests_total{endpoint=%q} %d\n", name, m.endpoints[name].requests.Load())
+	}
+	family("memmodeld_responses_total", "counter")
 	for _, name := range m.names {
 		em := m.endpoints[name]
-		fmt.Fprintf(w, "memmodeld_requests_total{endpoint=%q} %d\n", name, em.requests.Load())
 		fmt.Fprintf(w, "memmodeld_responses_total{endpoint=%q,class=\"2xx\"} %d\n", name, em.ok.Load())
 		fmt.Fprintf(w, "memmodeld_responses_total{endpoint=%q,class=\"4xx\"} %d\n", name, em.clientErr.Load())
 		fmt.Fprintf(w, "memmodeld_responses_total{endpoint=%q,class=\"429\"} %d\n", name, em.shed.Load())
 		fmt.Fprintf(w, "memmodeld_responses_total{endpoint=%q,class=\"5xx\"} %d\n", name, em.serverErr.Load())
+	}
+	family("memmodeld_request_latency_seconds", "histogram")
+	for _, name := range m.names {
+		h := m.endpoints[name].latency
 		cum := int64(0)
 		for i, ub := range latencyBuckets {
-			cum += em.latency.counts[i].Load()
+			cum += h.counts[i].Load()
 			fmt.Fprintf(w, "memmodeld_request_latency_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", name, ub, cum)
 		}
-		cum += em.latency.counts[len(latencyBuckets)].Load()
+		cum += h.counts[len(latencyBuckets)].Load()
 		fmt.Fprintf(w, "memmodeld_request_latency_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", name, cum)
 		fmt.Fprintf(w, "memmodeld_request_latency_seconds_sum{endpoint=%q} %.6f\n",
-			name, time.Duration(em.latency.sumNS.Load()).Seconds())
-		fmt.Fprintf(w, "memmodeld_request_latency_seconds_count{endpoint=%q} %d\n", name, em.latency.count.Load())
+			name, time.Duration(h.sumNS.Load()).Seconds())
+		fmt.Fprintf(w, "memmodeld_request_latency_seconds_count{endpoint=%q} %d\n", name, h.count.Load())
 	}
 
-	fmt.Fprintf(w, "memmodeld_cache_hits_total %d\n", cache.Hits)
-	fmt.Fprintf(w, "memmodeld_cache_singleflight_shared_total %d\n", cache.Shared)
-	fmt.Fprintf(w, "memmodeld_cache_misses_total %d\n", cache.Misses)
-	fmt.Fprintf(w, "memmodeld_cache_evictions_total %d\n", cache.Evictions)
-	fmt.Fprintf(w, "memmodeld_cache_entries %d\n", cache.Size)
-	fmt.Fprintf(w, "memmodeld_cache_hit_ratio %.6f\n", cache.HitRatio())
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_hits_total counter\nmemmodeld_cache_hits_total %d\n", cache.Hits)
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_singleflight_shared_total counter\nmemmodeld_cache_singleflight_shared_total %d\n", cache.Shared)
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_misses_total counter\nmemmodeld_cache_misses_total %d\n", cache.Misses)
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_evictions_total counter\nmemmodeld_cache_evictions_total %d\n", cache.Evictions)
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_entries gauge\nmemmodeld_cache_entries %d\n", cache.Size)
+	fmt.Fprintf(w, "# TYPE memmodeld_cache_hit_ratio gauge\nmemmodeld_cache_hit_ratio %.6f\n", cache.HitRatio())
 
-	fmt.Fprintf(w, "memmodeld_admission_inflight %d\n", adm.InFlight)
-	fmt.Fprintf(w, "memmodeld_admission_queued %d\n", adm.Queued)
-	fmt.Fprintf(w, "memmodeld_admission_admitted_total %d\n", adm.Admitted)
-	fmt.Fprintf(w, "memmodeld_admission_shed_total %d\n", adm.Shed)
+	fmt.Fprintf(w, "# TYPE memmodeld_admission_inflight gauge\nmemmodeld_admission_inflight %d\n", adm.InFlight)
+	fmt.Fprintf(w, "# TYPE memmodeld_admission_queued gauge\nmemmodeld_admission_queued %d\n", adm.Queued)
+	fmt.Fprintf(w, "# TYPE memmodeld_admission_admitted_total counter\nmemmodeld_admission_admitted_total %d\n", adm.Admitted)
+	fmt.Fprintf(w, "# TYPE memmodeld_admission_shed_total counter\nmemmodeld_admission_shed_total %d\n", adm.Shed)
 
+	family("memmodeld_faults_injected_total", "counter")
 	fmt.Fprintf(w, "memmodeld_faults_injected_total{kind=\"latency\"} %d\n", faults.Latencies)
 	fmt.Fprintf(w, "memmodeld_faults_injected_total{kind=\"error\"} %d\n", faults.Errors)
 	fmt.Fprintf(w, "memmodeld_faults_injected_total{kind=\"unavailable\"} %d\n", faults.Unavailable)
 	fmt.Fprintf(w, "memmodeld_faults_injected_total{kind=\"drop\"} %d\n", faults.Drops)
 
 	st := m.Solver.Stats()
-	fmt.Fprintf(w, "memmodeld_solver_solves_total %d\n", st.Solves)
-	fmt.Fprintf(w, "memmodeld_solver_iterations_total %d\n", st.Iterations)
-	fmt.Fprintf(w, "memmodeld_solver_fallbacks_total %d\n", st.Fallbacks)
-	fmt.Fprintf(w, "memmodeld_solver_bandwidth_limited_total %d\n", st.BandwidthLimited)
-	fmt.Fprintf(w, "memmodeld_solver_worst_residual %g\n", st.MaxResidual)
+	fmt.Fprintf(w, "# TYPE memmodeld_solver_solves_total counter\nmemmodeld_solver_solves_total %d\n", st.Solves)
+	fmt.Fprintf(w, "# TYPE memmodeld_solver_iterations_total counter\nmemmodeld_solver_iterations_total %d\n", st.Iterations)
+	fmt.Fprintf(w, "# TYPE memmodeld_solver_fallbacks_total counter\nmemmodeld_solver_fallbacks_total %d\n", st.Fallbacks)
+	fmt.Fprintf(w, "# TYPE memmodeld_solver_bandwidth_limited_total counter\nmemmodeld_solver_bandwidth_limited_total %d\n", st.BandwidthLimited)
+	fmt.Fprintf(w, "# TYPE memmodeld_solver_worst_residual gauge\nmemmodeld_solver_worst_residual %g\n", st.MaxResidual)
 }
 
 // teeRecorder fans one solver outcome out to the process-wide aggregate
@@ -163,8 +176,8 @@ func (t teeRecorder) RecordSolve(out solve.Outcome) {
 	t.b.RecordSolve(out)
 }
 
-func solverBody(st solve.Stats) SolverBody {
-	return SolverBody{
+func solverBody(st solve.Stats) api.SolverBody {
+	return api.SolverBody{
 		Solves:           st.Solves,
 		Iterations:       st.Iterations,
 		Fallbacks:        st.Fallbacks,

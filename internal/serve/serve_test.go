@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/api"
 )
 
 // doJSON drives one request through the handler in-process.
@@ -75,7 +77,7 @@ func TestEvaluateMatchesDirectModelCall(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp EvaluateResponse
+	var resp api.EvaluateResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	_, first, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
 	_, second, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
 
-	var r1, r2 EvaluateResponse
+	var r1, r2 api.EvaluateResponse
 	if err := json.Unmarshal(first, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	// different name) must hit the same canonical key.
 	renamed := `{"params":{"class":"enterprise","name":"other"},"platform":{"compulsory_ns":120,"name":"x"}}`
 	_, third, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", renamed)
-	var r3 EvaluateResponse
+	var r3 api.EvaluateResponse
 	if err := json.Unmarshal(third, &r3); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +159,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("%s: status = %d, want %d (%s)", tc.name, status, tc.want, blob)
 			continue
 		}
-		var eb ErrorBody
+		var eb api.ErrorBody
 		if err := json.Unmarshal(blob, &eb); err != nil || eb.Error.Code == "" || eb.Error.Message == "" {
 			t.Errorf("%s: reply is not a unified error envelope: %s", tc.name, blob)
 		}
@@ -190,7 +192,7 @@ func TestSingleflightCollapseOverHTTP(t *testing.T) {
 				t.Errorf("status = %d: %s", status, blob)
 				return
 			}
-			var resp EvaluateResponse
+			var resp api.EvaluateResponse
 			if err := json.Unmarshal(blob, &resp); err != nil {
 				t.Error(err)
 				return
@@ -391,7 +393,7 @@ func TestConcurrentLoad(t *testing.T) {
 					continue
 				}
 				okCount.Add(1)
-				var resp EvaluateResponse
+				var resp api.EvaluateResponse
 				if err := json.Unmarshal(blob, &resp); err != nil {
 					t.Error(err)
 					continue
@@ -465,5 +467,40 @@ func TestErrorsAreJSON(t *testing.T) {
 	}
 	if !json.Valid(bytes.TrimSpace(blob)) {
 		t.Errorf("error body is not valid JSON: %s", blob)
+	}
+}
+
+// TestNonFiniteOperatingPointRejected: a platform extreme enough to
+// overflow float64 (CPI +Inf, demand NaN) must be refused as an invalid
+// platform with a JSON error envelope, never answered 200 with an empty
+// body, and must not be cached — the repeat gets the same 400.
+func TestNonFiniteOperatingPointRejected(t *testing.T) {
+	cases := []struct {
+		name, path, body string
+	}{
+		{"evaluate-compulsory", "/v1/evaluate", `{"params":{"class":"bigdata"},"platform":{"compulsory_ns":1e308}}`},
+		{"evaluate-ghz", "/v1/evaluate", `{"params":{"class":"bigdata"},"platform":{"ghz":1e300}}`},
+		{"topology-compulsory", "/v1/evaluate/topology", `{"params":{"class":"bigdata"},"topology":{"tiers":[
+			{"name":"mem","share":1,"compulsory_ns":1e308,"peak_gbps":42}]}}`},
+		{"topology-ghz", "/v1/evaluate/topology", `{"params":{"class":"bigdata"},"topology":{"ghz":1e300,"tiers":[
+			{"name":"mem","share":1,"compulsory_ns":75,"peak_gbps":42}]}}`},
+	}
+	h := New().Handler()
+	for _, tc := range cases {
+		for attempt := 1; attempt <= 2; attempt++ {
+			status, blob, _ := doJSON(t, h, http.MethodPost, tc.path, tc.body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s attempt %d: status = %d, want 400: %q", tc.name, attempt, status, blob)
+				continue
+			}
+			var env api.ErrorBody
+			if err := json.Unmarshal(blob, &env); err != nil {
+				t.Errorf("%s attempt %d: body is not a JSON envelope: %v: %q", tc.name, attempt, err, blob)
+				continue
+			}
+			if env.Error.Code != api.CodeInvalidPlatform {
+				t.Errorf("%s attempt %d: code = %q, want %q", tc.name, attempt, env.Error.Code, api.CodeInvalidPlatform)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/solve"
 	"repro/internal/version"
@@ -124,30 +125,31 @@ type preparation struct {
 type prepareFunc func(dec *json.Decoder) (preparation, error)
 
 // markCached sets the Cached flag on a response served from the cache.
-// The response types are aliases into repro/api (which cannot carry
-// serve-side methods), so this is a type switch over the copies rather
-// than an interface; a new endpoint's response type must be added here.
+// The response types are defined in repro/api, and serve cannot add
+// methods to another package's types, so this is a type switch over the
+// copies rather than an interface; a new endpoint's response type must
+// be added here.
 func markCached(v any) any {
 	switch r := v.(type) {
-	case EvaluateResponse:
+	case api.EvaluateResponse:
 		r.Cached = true
 		return r
-	case TieredResponse:
+	case api.TieredResponse:
 		r.Cached = true
 		return r
-	case NUMAResponse:
+	case api.NUMAResponse:
 		r.Cached = true
 		return r
-	case TopologyResponse:
+	case api.TopologyResponse:
 		r.Cached = true
 		return r
-	case SweepResponse:
+	case api.SweepResponse:
 		r.Cached = true
 		return r
-	case ClusterResponse:
+	case api.ClusterResponse:
 		r.Cached = true
 		return r
-	case WorkloadValidateResponse:
+	case api.WorkloadValidateResponse:
 		r.Cached = true
 		return r
 	default:
@@ -173,11 +175,11 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 			switch act.outcome {
 			case faultError:
 				status = http.StatusInternalServerError
-				writeError(w, status, CodeFaultInjected, "injected internal error", nil)
+				writeError(w, status, api.CodeFaultInjected, "injected internal error", nil)
 				return
 			case faultUnavailable:
 				status = http.StatusServiceUnavailable
-				writeError(w, status, CodeFaultInjected, "injected unavailable", nil)
+				writeError(w, status, api.CodeFaultInjected, "injected unavailable", nil)
 				return
 			case faultDrop:
 				// Sever the connection with no response: net/http aborts
@@ -190,7 +192,7 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 
 		if r.Method != http.MethodPost {
 			status = http.StatusMethodNotAllowed
-			writeError(w, status, CodeMethodNotAllowed, "POST only", nil)
+			writeError(w, status, api.CodeMethodNotAllowed, "POST only", nil)
 			return
 		}
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -199,10 +201,10 @@ func (s *Server) post(name string, prepare prepareFunc) http.HandlerFunc {
 		if err != nil {
 			var code string
 			status, code = classify(err)
-			if code == CodeInternal {
+			if code == api.CodeInternal {
 				// Decode failures carry no sentinel; they are the caller's
 				// malformed body, not our fault.
-				status, code = http.StatusBadRequest, CodeBadRequest
+				status, code = http.StatusBadRequest, api.CodeBadRequest
 			}
 			writeError(w, status, code, err.Error(), nil)
 			return
@@ -247,7 +249,7 @@ func (s *Server) record(ctx context.Context) (context.Context, *solve.Aggregate)
 }
 
 func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
-	var req EvaluateRequest
+	var req api.EvaluateRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -267,7 +269,7 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 			if err != nil {
 				return nil, err
 			}
-			return EvaluateResponse{
+			return api.EvaluateResponse{
 				Workload: p.Name,
 				Platform: pl.Name,
 				Point:    pointBody(op, pl),
@@ -278,7 +280,7 @@ func (s *Server) prepareEvaluate(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareTiered(dec *json.Decoder) (preparation, error) {
-	var req TieredRequest
+	var req api.TieredRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -294,19 +296,19 @@ func (s *Server) prepareTiered(dec *json.Decoder) (preparation, error) {
 		key: model.ScenarioKey("tiered", model.CanonicalParams(p), model.CanonicalTiered(tp)),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
-			op, err := model.EvaluateTiered(ctx, p, tp)
+			pt, err := model.EvaluateTopology(ctx, p, tp.Topology())
 			if err != nil {
 				return nil, err
 			}
-			resp := TieredResponse{
+			resp := api.TieredResponse{
 				Workload:       p.Name,
 				Platform:       tp.Name,
-				CPI:            op.CPI,
-				BandwidthBound: op.BandwidthBound,
+				CPI:            pt.CPI,
+				BandwidthBound: pt.BandwidthBound,
 				Solver:         solverBody(agg.Stats()),
 			}
-			for _, t := range op.Tiers {
-				resp.Tiers = append(resp.Tiers, TierPointBody{
+			for _, t := range pt.Tiers {
+				resp.Tiers = append(resp.Tiers, api.TierPointBody{
 					Name:          t.Name,
 					MissPenaltyNS: t.MissPenalty.Nanoseconds(),
 					DemandGBps:    t.Demand.GBps(),
@@ -320,7 +322,7 @@ func (s *Server) prepareTiered(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareNUMA(dec *json.Decoder) (preparation, error) {
-	var req NUMARequest
+	var req api.NUMARequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -336,22 +338,23 @@ func (s *Server) prepareNUMA(dec *json.Decoder) (preparation, error) {
 		key: model.ScenarioKey("numa", model.CanonicalParams(p), model.CanonicalNUMA(np)),
 		run: func(ctx context.Context) (any, error) {
 			ctx, agg := s.record(ctx)
-			op, err := model.EvaluateNUMA(ctx, p, np)
+			pt, err := model.EvaluateTopology(ctx, p, np.Topology())
 			if err != nil {
 				return nil, err
 			}
-			return NUMAResponse{
+			dram, link := pt.Tiers[0], pt.Tiers[1]
+			return api.NUMAResponse{
 				Workload:       p.Name,
 				Platform:       np.Name,
-				CPI:            op.CPI,
-				LocalNS:        op.LocalMP.Nanoseconds(),
-				RemoteNS:       op.RemoteMP.Nanoseconds(),
-				EffectiveNS:    op.EffectiveMP.Nanoseconds(),
-				DRAMDemandGBps: op.DRAMDemand.GBps(),
-				LinkDemandGBps: op.LinkDemand.GBps(),
-				DRAMUtil:       op.DRAMUtil,
-				LinkUtil:       op.LinkUtil,
-				BandwidthBound: op.BandwidthBound,
+				CPI:            pt.CPI,
+				LocalNS:        dram.MissPenalty.Nanoseconds(),
+				RemoteNS:       link.MissPenalty.Nanoseconds(),
+				EffectiveNS:    pt.EffectiveMP.Nanoseconds(),
+				DRAMDemandGBps: dram.Demand.GBps(),
+				LinkDemandGBps: link.Demand.GBps(),
+				DRAMUtil:       dram.Utilization,
+				LinkUtil:       link.Utilization,
+				BandwidthBound: pt.BandwidthBound,
 				Solver:         solverBody(agg.Stats()),
 			}, nil
 		},
@@ -359,7 +362,7 @@ func (s *Server) prepareNUMA(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
-	var req TopologyRequest
+	var req api.TopologyRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
@@ -379,7 +382,7 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 			if err != nil {
 				return nil, err
 			}
-			resp := TopologyResponse{
+			resp := api.TopologyResponse{
 				Workload:       p.Name,
 				Platform:       top.Name,
 				Policy:         top.Policy.String(),
@@ -390,7 +393,7 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 				Solver:         solverBody(agg.Stats()),
 			}
 			for _, t := range pt.Tiers {
-				resp.Tiers = append(resp.Tiers, TopologyTierPointBody{
+				resp.Tiers = append(resp.Tiers, api.TopologyTierPointBody{
 					Name:          t.Name,
 					MissPenaltyNS: t.MissPenalty.Nanoseconds(),
 					DemandGBps:    t.Demand.GBps(),
@@ -405,13 +408,13 @@ func (s *Server) prepareTopology(dec *json.Decoder) (preparation, error) {
 }
 
 func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
-	var req SweepRequest
+	var req api.SweepRequest
 	if err := dec.Decode(&req); err != nil {
 		return preparation{}, fmt.Errorf("decode: %w", err)
 	}
 	specs := req.Classes
 	if len(specs) == 0 {
-		specs = []ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}}
+		specs = []api.ParamsSpec{{Class: "bigdata"}, {Class: "enterprise"}, {Class: "hpc"}}
 	}
 	if len(specs) > maxSweepClasses {
 		return preparation{}, fmt.Errorf("%w: at most %d classes per sweep", model.ErrInvalidParams, maxSweepClasses)
@@ -498,10 +501,10 @@ func (s *Server) prepareSweep(dec *json.Decoder) (preparation, error) {
 	}
 }
 
-func sweepResponse(axis string, sw model.Sweep, st solve.Stats) SweepResponse {
-	resp := SweepResponse{Axis: axis, Solver: solverBody(st)}
+func sweepResponse(axis string, sw model.Sweep, st solve.Stats) api.SweepResponse {
+	resp := api.SweepResponse{Axis: axis, Solver: solverBody(st)}
 	for _, pt := range sw.Points {
-		body := SweepPointBody{
+		body := api.SweepPointBody{
 			Platform:    pt.Platform.Name,
 			Delta:       pt.DeltaPerCore,
 			CPI:         map[string]float64{},
@@ -528,7 +531,7 @@ type healthBody struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only", nil)
+		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only", nil)
 		return
 	}
 	body := healthBody{
@@ -548,7 +551,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET only", nil)
+		writeError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "GET only", nil)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

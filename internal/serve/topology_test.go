@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/api"
 )
 
 // topoBody is a 2-tier fraction topology mirroring the tiered endpoint's
@@ -20,7 +22,7 @@ func TestTopologyEndpointBasic(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("POST /v1/evaluate/topology = %d: %s", status, blob)
 	}
-	var resp TopologyResponse
+	var resp api.TopologyResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +38,7 @@ func TestTopologyEndpointBasic(t *testing.T) {
 
 	// Repeat hits the cache and is marked as such.
 	_, blob2, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", topoBody)
-	var again TopologyResponse
+	var again api.TopologyResponse
 	if err := json.Unmarshal(blob2, &again); err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +61,8 @@ func TestTopologyMatchesTieredEndpoint(t *testing.T) {
 
 	_, tb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/tiered", tieredBody)
 	_, pb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", topoBody)
-	var tr TieredResponse
-	var pr TopologyResponse
+	var tr api.TieredResponse
+	var pr api.TopologyResponse
 	if err := json.Unmarshal(tb, &tr); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestTopologyLocalRemotePolicy(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status = %d: %s", status, blob)
 	}
-	var resp TopologyResponse
+	var resp api.TopologyResponse
 	if err := json.Unmarshal(blob, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestTopologyEfficiencyDerating(t *testing.T) {
 
 	_, fb, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", full)
 	_, db, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate/topology", derated)
-	var fr, dr TopologyResponse
+	var fr, dr api.TopologyResponse
 	if err := json.Unmarshal(fb, &fr); err != nil {
 		t.Fatal(err)
 	}

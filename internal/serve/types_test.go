@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/api"
 	"repro/internal/model"
 	"repro/internal/params"
 	"repro/internal/units"
@@ -14,30 +15,30 @@ import (
 
 func TestRequestJSONRoundTrip(t *testing.T) {
 	cases := []any{
-		EvaluateRequest{
-			Params:   ParamsSpec{Class: "bigdata", MPKI: 7.5},
-			Platform: PlatformSpec{Cores: 16, GHz: 3.0, CompulsoryNS: 90, PeakGBps: 60},
+		api.EvaluateRequest{
+			Params:   api.ParamsSpec{Class: "bigdata", MPKI: 7.5},
+			Platform: api.PlatformSpec{Cores: 16, GHz: 3.0, CompulsoryNS: 90, PeakGBps: 60},
 		},
-		TieredRequest{
-			Params: ParamsSpec{CPICache: 1.0, BF: 0.3, MPKI: 5},
-			Platform: TieredPlatformSpec{Tiers: []TierSpec{
+		api.TieredRequest{
+			Params: api.ParamsSpec{CPICache: 1.0, BF: 0.3, MPKI: 5},
+			Platform: api.TieredPlatformSpec{Tiers: []api.TierSpec{
 				{Name: "near", HitFraction: 0.8, CompulsoryNS: 75, PeakGBps: 42},
 				{Name: "far", HitFraction: 0.2, CompulsoryNS: 300, PeakGBps: 10,
-					Queue: CurveSpec{Type: "md1", ServiceNS: 12}},
+					Queue: api.CurveSpec{Type: "md1", ServiceNS: 12}},
 			}},
 		},
-		NUMARequest{
-			Params:   ParamsSpec{Class: "enterprise"},
-			Platform: NUMAPlatformSpec{Sockets: 2, RemoteFraction: 0.5},
+		api.NUMARequest{
+			Params:   api.ParamsSpec{Class: "enterprise"},
+			Platform: api.NUMAPlatformSpec{Sockets: 2, RemoteFraction: 0.5},
 		},
-		SweepRequest{
-			Classes:  []ParamsSpec{{Class: "hpc"}},
-			Platform: PlatformSpec{},
+		api.SweepRequest{
+			Classes:  []api.ParamsSpec{{Class: "hpc"}},
+			Platform: api.PlatformSpec{},
 			Axis:     "latency", Steps: 5, StepNS: 20,
 		},
-		SweepRequest{
+		api.SweepRequest{
 			Axis:     "bandwidth",
-			Variants: []BandwidthVariantSpec{{Channels: 2, GradeMTs: 1600, Efficiency: 0.72}},
+			Variants: []api.BandwidthVariantSpec{{Channels: 2, GradeMTs: 1600, Efficiency: 0.72}},
 		},
 	}
 	for _, in := range cases {
@@ -56,7 +57,7 @@ func TestRequestJSONRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPlatformSpecIsBaseline(t *testing.T) {
-	pl, err := PlatformSpec{}.Platform()
+	pl, err := api.PlatformSpec{}.Platform()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +74,14 @@ func TestEmptyPlatformSpecIsBaseline(t *testing.T) {
 }
 
 func TestParamsSpecClassAndOverrides(t *testing.T) {
-	p, err := ParamsSpec{Class: "bigdata"}.Params()
+	p, err := api.ParamsSpec{Class: "bigdata"}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.CPICache != params.Table6[1].CPICache {
 		t.Errorf("class cpi_cache = %v, want Table 6 mean %v", p.CPICache, params.Table6[1].CPICache)
 	}
-	over, err := ParamsSpec{Class: "bigdata", MPKI: 9.9}.Params()
+	over, err := api.ParamsSpec{Class: "bigdata", MPKI: 9.9}.Params()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,28 +91,28 @@ func TestParamsSpecClassAndOverrides(t *testing.T) {
 }
 
 func TestSpecValidationSentinels(t *testing.T) {
-	if _, err := (ParamsSpec{Class: "nope"}).Params(); !errors.Is(err, model.ErrInvalidParams) {
+	if _, err := (api.ParamsSpec{Class: "nope"}).Params(); !errors.Is(err, model.ErrInvalidParams) {
 		t.Errorf("unknown class: err = %v, want ErrInvalidParams", err)
 	}
-	if _, err := (ParamsSpec{CPICache: -1}).Params(); !errors.Is(err, model.ErrInvalidParams) {
+	if _, err := (api.ParamsSpec{CPICache: -1}).Params(); !errors.Is(err, model.ErrInvalidParams) {
 		t.Errorf("negative cpi_cache: err = %v, want ErrInvalidParams", err)
 	}
-	if _, err := (PlatformSpec{Queue: CurveSpec{Type: "nope"}}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.PlatformSpec{Queue: api.CurveSpec{Type: "nope"}}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("unknown curve: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (PlatformSpec{Cores: -4}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.PlatformSpec{Cores: -4}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("negative cores: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (TieredPlatformSpec{}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.TieredPlatformSpec{}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("no tiers: err = %v, want ErrInvalidPlatform", err)
 	}
-	if _, err := (NUMAPlatformSpec{RemoteFraction: 2}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.NUMAPlatformSpec{RemoteFraction: 2}).Platform(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("remote fraction 2: err = %v, want ErrInvalidPlatform", err)
 	}
 }
 
 func TestMeasuredCurveSpec(t *testing.T) {
-	cs := CurveSpec{Type: "measured", Points: []CurvePoint{
+	cs := api.CurveSpec{Type: "measured", Points: []api.CurvePoint{
 		{Utilization: 0, DelayNS: 0},
 		{Utilization: 0.5, DelayNS: 10},
 		{Utilization: 0.95, DelayNS: 80},
@@ -123,7 +124,7 @@ func TestMeasuredCurveSpec(t *testing.T) {
 	if got := c.Delay(0.5); got != 10*units.Nanosecond {
 		t.Errorf("Delay(0.5) = %v, want 10ns", got)
 	}
-	if _, err := (CurveSpec{Type: "measured"}).Curve(); !errors.Is(err, model.ErrInvalidPlatform) {
+	if _, err := (api.CurveSpec{Type: "measured"}).Curve(); !errors.Is(err, model.ErrInvalidPlatform) {
 		t.Errorf("measured with no points: err = %v, want ErrInvalidPlatform", err)
 	}
 }

@@ -113,8 +113,8 @@ type LimitFunc func(x, cpi float64) (Limit, bool)
 // Scenario is one fixed-point problem handed to the Solver: the supply
 // side and per-thread demand adapter of an evaluator, composed into a
 // scalar unknown. The unknown is whatever coordinate makes the map
-// monotone and the bracket natural — the single-platform adapter solves
-// in loaded-latency space (ns), the tiered and NUMA adapters in CPI
+// monotone and the bracket natural — a one-tier topology solves in
+// loaded-latency space (ns), tiered and local/remote topologies in CPI
 // space (the coupling runs through the scalar CPI in Eq. 5).
 type Scenario struct {
 	// Name labels the scenario in telemetry (workload @ platform).

@@ -224,8 +224,8 @@ func TestRunCancel(t *testing.T) {
 }
 
 func TestClassifyEvalErr(t *testing.T) {
-	shedErr := fmt.Errorf("wrap: %w", &client.APIError{Status: http.StatusTooManyRequests, Code: "overloaded"})
-	if code, shed := classifyEvalErr(shedErr); code != "overloaded" || !shed {
+	shedErr := fmt.Errorf("wrap: %w", &client.APIError{Status: http.StatusTooManyRequests, Code: api.CodeOverloaded})
+	if code, shed := classifyEvalErr(shedErr); code != api.CodeOverloaded || !shed {
 		t.Fatalf("429 classified as (%q,%v)", code, shed)
 	}
 	if code, shed := classifyEvalErr(context.DeadlineExceeded); code != "deadline" || shed {

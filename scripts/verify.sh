@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full verification: vet, build, the tier-1 test suite, and the race
+# Full verification: gofmt, vet, build, the tier-1 test suite, and the race
 # detector over the concurrency-bearing packages (the simulator's event
 # loop under the parallel fit grids, the engine scheduler, the
 # experiment suite's shared caches and measurement cache, the fleet
@@ -10,6 +10,14 @@
 # detector's slowdown makes two full -quick suite runs impractical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== gofmt"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed on:"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "== go vet"
 go vet ./...
