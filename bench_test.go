@@ -317,6 +317,51 @@ func BenchmarkModelEvaluate(b *testing.B) {
 	}
 }
 
+// benchTopologies are the split-policy shapes BenchmarkEvaluateTopology
+// times: the flat baseline as a one-tier topology, a three-tier
+// HBM/DRAM/CXL fraction split, a 3:1 DRAM/CXL interleave, and the
+// dual-socket baseline at 30% remote misses.
+func benchTopologies() []struct {
+	name string
+	top  model.Topology
+} {
+	curve := queueing.MM1{Service: 6 * units.Nanosecond, ULimit: 0.95}
+	flat := model.BaselinePlatform(curve).Topology()
+	three := flat
+	three.Tiers = []model.MemTier{
+		{Name: "hbm", Share: 0.6, Compulsory: 50 * units.Nanosecond, PeakBW: units.GBpsOf(120), Queue: curve},
+		{Name: "dram", Share: 0.3, Compulsory: 80 * units.Nanosecond, PeakBW: units.GBpsOf(40), Queue: curve},
+		{Name: "cxl", Share: 0.1, Compulsory: 350 * units.Nanosecond, PeakBW: units.GBpsOf(8), Queue: curve},
+	}
+	inter := flat
+	inter.Policy = model.SplitInterleave
+	inter.Tiers = []model.MemTier{
+		{Name: "dram", Share: 3, Compulsory: 80 * units.Nanosecond, PeakBW: units.GBpsOf(40), Queue: curve},
+		{Name: "cxl", Share: 1, Compulsory: 250 * units.Nanosecond, PeakBW: units.GBpsOf(16), Queue: curve},
+	}
+	numa := model.DualSocketBaseline(curve).WithRemoteFraction(0.3).Topology()
+	return []struct {
+		name string
+		top  model.Topology
+	}{{"flat", flat}, {"fractions-3tier", three}, {"interleave", inter}, {"local-remote", numa}}
+}
+
+// BenchmarkEvaluateTopology times one EvaluateTopology solve per split
+// policy for the Big Data class.
+func BenchmarkEvaluateTopology(b *testing.B) {
+	p := model.Params{Name: "Big Data", CPICache: 0.91, BF: 0.21, MPKI: 5.5, WBR: 0.92}
+	for _, tc := range benchTopologies() {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := model.EvaluateTopology(context.Background(), p, tc.top); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkMLCSweepPoint(b *testing.B) {
 	cfg := memsys.DefaultConfig()
 	for i := 0; i < b.N; i++ {

@@ -16,11 +16,13 @@ import (
 // beyond solver tolerance means a topology split diverged from the
 // paper's equations.
 
-// consistencyTol bounds the allowed CPI disagreement: the flat solve
-// bisects the miss penalty to 1e-4 ns while the local/remote split
-// bisects CPI to 1e-9, so the fixed points can differ by the CPI
-// sensitivity to 1e-4 ns of latency (MPI×BF×cycles-per-ns×1e-4 ≪ 1e-5
-// for every class here).
+// consistencyTol bounds the allowed relative CPI disagreement between
+// shapes. Every shape solves the same CPI-space Eq. 5 scenario to
+// 1e-9, so the degenerate shapes in fact agree bit for bit
+// (TestDegenerateShapesBitIdentical); the tolerance is the looser
+// promise of the paper's equations, that a degenerate split reduces to
+// Eq. 1/4 within solver tolerance, whatever coordinate a shape solves
+// in.
 const consistencyTol = 1e-5
 
 // singleTier wraps a Platform as a degenerate one-tier hierarchy.
@@ -153,6 +155,38 @@ func TestNUMADegeneratesToEvaluate(t *testing.T) {
 			}
 			if nop.EffectiveMP != nop.Tiers[0].MissPenalty {
 				t.Errorf("EffectiveMP %v != LocalMP %v with RemoteFraction 0", nop.EffectiveMP, nop.Tiers[0].MissPenalty)
+			}
+		})
+	}
+}
+
+// TestDegenerateShapesBitIdentical: a flat platform, the same memory as
+// a one-tier fraction topology, and a local/remote topology with no
+// remote traffic are one Eq. 5 scenario, so their CPI and effective
+// miss penalty agree bit for bit.
+func TestDegenerateShapesBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range consistencyCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			flat, err := EvaluateTopology(ctx, tc.p, tc.pl.Topology())
+			if err != nil {
+				t.Fatal(err)
+			}
+			shapes := map[string]Topology{
+				"one-tier fractions":       singleTier(tc.pl).Topology(),
+				"zero-remote local-remote": allLocal(tc.pl).Topology(),
+			}
+			for name, top := range shapes {
+				pt, err := EvaluateTopology(ctx, tc.p, top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitEq(pt.CPI, flat.CPI) {
+					t.Errorf("%s CPI %x, flat %x", name, pt.CPI, flat.CPI)
+				}
+				if !bitEq(float64(pt.EffectiveMP), float64(flat.EffectiveMP)) {
+					t.Errorf("%s EffectiveMP %x, flat %x", name, float64(pt.EffectiveMP), float64(flat.EffectiveMP))
+				}
 			}
 		})
 	}

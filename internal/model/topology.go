@@ -23,13 +23,13 @@ import (
 // sustained-vs-peak bandwidth derating) is a Topology value rather than
 // another evaluator.
 //
-// Each legacy shape keeps its historical numerics bit-for-bit: the
-// degenerate one-tier topology solves in loaded-latency space exactly
-// as the old single-platform evaluator did, fraction splits solve the
-// Eq. 5 coupling in CPI space with per-tier terms, and the local/remote
-// split applies Eq. 1 once to the traffic-weighted effective latency,
-// matching the §VIII construction. The equivalence suite in
-// topology_test.go pins all three to pre-refactor golden values.
+// Every shape is one scenario, the Eq. 5 fixed point in CPI space: each
+// tier carries a share of the miss traffic, and that share both loads
+// the tier and weighs its loaded latency. The flat platform is one tier
+// with share 1; the §VIII local/remote machine is two tiers with shares
+// (1, RemoteFraction), since every miss pays the local memory and the
+// remote share also pays the interconnect. topology_test.go pins each
+// shape to hex-float golden values.
 
 // SplitPolicy selects how LLC miss traffic is distributed across the
 // tiers of a Topology.
@@ -120,46 +120,46 @@ type Topology struct {
 // Validate reports configuration errors. Failures wrap
 // ErrInvalidPlatform for errors.Is classification.
 func (top Topology) Validate() error {
+	if !finite(float64(top.CoreSpeed), float64(top.LineSize), top.RemoteFraction) {
+		return fmt.Errorf("%w: Topology fields must be finite", ErrInvalidPlatform)
+	}
 	if top.Threads <= 0 || top.Cores <= 0 || top.CoreSpeed <= 0 || top.LineSize <= 0 {
 		return fmt.Errorf("%w: Topology core parameters must be positive", ErrInvalidPlatform)
 	}
 	if len(top.Tiers) == 0 {
 		return fmt.Errorf("%w: Topology needs at least one tier", ErrInvalidPlatform)
 	}
+	// Under SplitLocalRemote the shares are ignored and tier 1, the
+	// interconnect, may add zero latency.
+	lr := top.Policy == SplitLocalRemote
+	sum := 0.0
 	for i, t := range top.Tiers {
-		if t.PeakBW <= 0 || t.Queue == nil {
-			return fmt.Errorf("%w: tier %d (%s): incomplete configuration", ErrInvalidPlatform, i, t.Name)
+		var problem string
+		switch {
+		case !finite(t.Share, float64(t.Compulsory), float64(t.PeakBW), t.Efficiency):
+			problem = "fields must be finite"
+		case t.PeakBW <= 0 || t.Queue == nil:
+			problem = "incomplete configuration"
+		case t.Efficiency < 0 || t.Efficiency > 1:
+			problem = "Efficiency must be in (0,1] (0 = 1.0)"
+		case t.Compulsory < 0 || (t.Compulsory == 0 && !(lr && i == 1)):
+			problem = "Compulsory must be positive"
+		case !lr && t.Share < 0:
+			problem = "Share must be non-negative"
+		case top.Policy == SplitFractions && t.Share > 1:
+			problem = "Share out of [0,1]"
 		}
-		if t.Efficiency < 0 || t.Efficiency > 1 {
-			return fmt.Errorf("%w: tier %d (%s): Efficiency must be in (0,1] (0 = 1.0)", ErrInvalidPlatform, i, t.Name)
+		if problem != "" {
+			return fmt.Errorf("%w: tier %d (%s): %s", ErrInvalidPlatform, i, t.Name, problem)
 		}
+		sum += t.Share
 	}
 	switch top.Policy {
 	case SplitFractions:
-		sum := 0.0
-		for i, t := range top.Tiers {
-			if t.Share < 0 || t.Share > 1 {
-				return fmt.Errorf("%w: tier %d (%s): Share out of [0,1]", ErrInvalidPlatform, i, t.Name)
-			}
-			if t.Compulsory <= 0 {
-				return fmt.Errorf("%w: tier %d (%s): Compulsory must be positive", ErrInvalidPlatform, i, t.Name)
-			}
-			sum += t.Share
-		}
 		if sum < 0.999 || sum > 1.001 {
 			return fmt.Errorf("%w: tier shares sum to %.3f, want 1", ErrInvalidPlatform, sum)
 		}
 	case SplitInterleave:
-		sum := 0.0
-		for i, t := range top.Tiers {
-			if t.Share < 0 {
-				return fmt.Errorf("%w: tier %d (%s): interleave weight must be non-negative", ErrInvalidPlatform, i, t.Name)
-			}
-			if t.Compulsory <= 0 {
-				return fmt.Errorf("%w: tier %d (%s): Compulsory must be positive", ErrInvalidPlatform, i, t.Name)
-			}
-			sum += t.Share
-		}
 		if sum <= 0 {
 			return fmt.Errorf("%w: interleave weights sum to zero", ErrInvalidPlatform)
 		}
@@ -167,12 +167,6 @@ func (top Topology) Validate() error {
 		if len(top.Tiers) != 2 {
 			return fmt.Errorf("%w: local-remote topology needs exactly 2 tiers (local memory, interconnect), got %d",
 				ErrInvalidPlatform, len(top.Tiers))
-		}
-		if top.Tiers[0].Compulsory <= 0 {
-			return fmt.Errorf("%w: local tier Compulsory must be positive", ErrInvalidPlatform)
-		}
-		if top.Tiers[1].Compulsory < 0 {
-			return fmt.Errorf("%w: interconnect Compulsory (remote adder) must be non-negative", ErrInvalidPlatform)
 		}
 		if top.RemoteFraction < 0 || top.RemoteFraction > 1 {
 			return fmt.Errorf("%w: RemoteFraction must be in [0,1]", ErrInvalidPlatform)
@@ -183,13 +177,17 @@ func (top Topology) Validate() error {
 	return nil
 }
 
-// shares returns each tier's fraction of the miss population under the
-// fraction policies. SplitFractions passes Share through untouched (so
-// legacy tiered hit fractions keep their exact bits); SplitInterleave
-// normalizes the weights.
+// shares returns each tier's share sᵢ of the miss traffic: the demand
+// the tier carries and the weight of its loaded latency in Eq. 5.
+// SplitFractions passes Share through untouched, SplitInterleave
+// normalizes the weights, and SplitLocalRemote is (1, RemoteFraction):
+// every miss loads the local memory, the remote share also the link.
 func (top Topology) shares() []float64 {
 	sh := make([]float64, len(top.Tiers))
-	if top.Policy == SplitInterleave {
+	switch top.Policy {
+	case SplitLocalRemote:
+		sh[0], sh[1] = 1, top.RemoteFraction
+	case SplitInterleave:
 		sum := 0.0
 		for _, t := range top.Tiers {
 			sum += t.Share
@@ -197,10 +195,10 @@ func (top Topology) shares() []float64 {
 		for i, t := range top.Tiers {
 			sh[i] = t.Share / sum
 		}
-		return sh
-	}
-	for i, t := range top.Tiers {
-		sh[i] = t.Share
+	default:
+		for i, t := range top.Tiers {
+			sh[i] = t.Share
+		}
 	}
 	return sh
 }
@@ -311,19 +309,27 @@ type TopologyPoint struct {
 }
 
 // topoCase is the solve-kernel adapter for one (workload, topology)
-// pair: policy-specific scenario construction over shared tier systems,
-// plus the conversion from a kernel Outcome back to a TopologyPoint.
+// pair: the Eq. 5 scenario over the topology's tier systems, plus the
+// conversion from a kernel Outcome back to a TopologyPoint.
 type topoCase struct {
-	solver solve.Solver
-	sc     solve.Scenario
-	point  func(solve.Outcome) (TopologyPoint, error)
+	p     Params
+	top   Topology
+	sh    []float64           // each tier's share of the miss traffic
+	sys   []queueing.System   // each tier's supply side at sustained bandwidth
+	tiers []TopologyTierPoint // per-tier state at the converged CPI
+	sc    solve.Scenario
 }
 
-// newTopoCase validates and compiles one evaluation. The unknown
-// follows the shape: a one-tier fraction topology solves in
-// loaded-latency space (the flat model's natural coordinate), multi-tier
-// fraction splits and the local/remote split solve the Eq. 5 coupling
-// in CPI space.
+// newTopoCase validates and compiles one evaluation: the Eq. 5 fixed
+// point in CPI space,
+//
+//	CPI = CPI_cache + MPI × BF × Σ sᵢ × MPᵢ,
+//
+// where tier i carries the share sᵢ of the miss traffic and MPᵢ is its
+// loaded latency at that demand. Every shape is this one scenario: a
+// flat platform is one tier with share 1, and a local/remote machine is
+// two tiers with shares (1, RemoteFraction), since every miss pays the
+// local memory and the remote share also pays the interconnect.
 func newTopoCase(p Params, top Topology) (*topoCase, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -331,331 +337,142 @@ func newTopoCase(p Params, top Topology) (*topoCase, error) {
 	if err := top.Validate(); err != nil {
 		return nil, err
 	}
-	c := &topoCase{}
-	switch {
-	case top.Policy == SplitLocalRemote:
-		c.buildLocalRemote(p, top)
-	case len(top.Tiers) == 1:
-		c.buildFlat(p, top)
-	default:
-		c.buildFractions(p, top)
+	n := len(top.Tiers)
+	c := &topoCase{
+		p:     p,
+		top:   top,
+		sh:    top.shares(),
+		sys:   make([]queueing.System, n),
+		tiers: make([]TopologyTierPoint, n),
+	}
+	// Bracket: CPI at zero queuing ≤ fixed point ≤ CPI at max stable
+	// queuing on every tier.
+	lo, hi := p.CPICache, p.CPICache
+	for i, t := range top.Tiers {
+		c.sys[i] = queueing.System{Compulsory: t.Compulsory, PeakBW: t.SustainedBW(), Curve: t.Queue}
+		lo += c.term(i, t.Compulsory)
+		hi += c.term(i, t.Compulsory+t.Queue.MaxStableDelay())
+	}
+	c.sc = solve.Scenario{
+		Name:    p.Name + "@" + top.Name,
+		Unknown: "cpi",
+		Lo:      lo,
+		Hi:      hi,
+		F:       func(cpi float64) float64 { return c.eq5(cpi, nil) },
+		CPIOf:   func(cpi float64) float64 { return c.eq5(cpi, c.tiers) },
+		Limits:  make([]solve.LimitFunc, n),
+	}
+	for i := range top.Tiers {
+		c.sc.Limits[i] = c.limit(i)
 	}
 	return c, nil
 }
 
-// buildFlat compiles the degenerate one-tier topology: the classic
-// Eq. 1 + Eq. 4 fixed point in loaded-latency space, with the §VI.C.1
-// saturation handoff. Bit-identical to the historical single-platform
-// evaluator (tier efficiency 1).
-func (c *topoCase) buildFlat(p Params, top Topology) {
-	t := top.Tiers[0]
-	sust := t.SustainedBW()
-	sys := queueing.System{Compulsory: t.Compulsory, PeakBW: sust, Curve: t.Queue}
-	demand := func(mp units.Duration) units.BytesPerSecond {
-		cpi := p.CPIEffAt(mp, top.CoreSpeed)
-		return p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-	}
-
-	var bwErr error // deferred BandwidthLimitedCPI failure from a LimitFunc
-	sc := sys.Scenario(p.Name+"@"+top.Name, demand)
-	sc.CPIOf = func(mp float64) float64 {
-		return p.CPIEffAt(units.Duration(mp), top.CoreSpeed)
-	}
-	sc.Limits = []solve.LimitFunc{
-		// Saturation clamp: active when the converged utilization reaches
-		// the curve's stability limit. Bound is false — saturation alone
-		// does not mark the point bandwidth bound unless the Eq. 4 CPI
-		// actually wins the comparison.
-		func(mp, _ float64) (solve.Limit, bool) {
-			u := sys.Utilization(demand(units.Duration(mp)))
-			if !sys.Saturated(u) {
-				return solve.Limit{}, false
-			}
-			availPerThread := sust / units.BytesPerSecond(top.Threads)
-			bwCPI, err := p.BandwidthLimitedCPI(availPerThread, top.CoreSpeed, top.LineSize)
-			if err != nil {
-				bwErr = err
-				return solve.Limit{}, false
-			}
-			return solve.Limit{Resource: "memory", CPI: bwCPI}, true
-		},
-		// Demand-exceeds-peak check at the (possibly clamped) final CPI:
-		// marks the regime bandwidth limited without changing the CPI.
-		func(_, cpi float64) (solve.Limit, bool) {
-			d := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-			if d <= sust {
-				return solve.Limit{}, false
-			}
-			return solve.Limit{Resource: "memory", Bound: true}, true
-		},
-	}
-	c.sc = sc
-	c.solver = solve.Solver{}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
-		if bwErr != nil {
-			return TopologyPoint{Iterations: out.Iterations}, bwErr
-		}
-		mp := units.Duration(out.X)
-		tpt := TopologyTierPoint{Name: t.Name, MissPenalty: mp}
-		op := TopologyPoint{
-			CPI:         out.CPI,
-			EffectiveMP: mp,
-			Limiter:     out.Limiter,
-			Iterations:  out.Iterations,
-			// BandwidthBound: either the Eq. 4 clamp raised the CPI above
-			// the latency-limited value, or demand at the final CPI
-			// exceeds the sustained bandwidth.
-			BandwidthBound: out.CPI > p.CPIEffAt(mp, top.CoreSpeed),
-		}
-		// Demand, delivered bandwidth, and utilization reported at the
-		// final CPI.
-		tpt.Demand = p.Demand(op.CPI, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		if tpt.Demand > sust {
-			op.BandwidthBound = true
-			tpt.Delivered = sust
-		} else {
-			tpt.Delivered = tpt.Demand
-		}
-		tpt.Utilization = sys.Utilization(tpt.Demand)
-		tpt.Saturated = sys.Saturated(tpt.Utilization)
-		op.Tiers = []TopologyTierPoint{tpt}
-		return op, nil
-	}
+// demand is Eq. 4 for all threads at CPI cpi.
+func (c *topoCase) demand(cpi float64) units.BytesPerSecond {
+	return c.p.Demand(cpi, c.top.CoreSpeed, c.top.LineSize) * units.BytesPerSecond(c.top.Threads)
 }
 
-// buildFractions compiles a multi-tier fraction (or interleave) split:
-// the Eq. 5 fixed point in CPI space, each tier's loaded latency implied
-// by its share of the traffic. Bit-identical to the historical tiered
-// evaluator when shares are the tier hit fractions (efficiency 1).
-func (c *topoCase) buildFractions(p Params, top Topology) {
-	sh := top.shares()
-	systems := make([]queueing.System, len(top.Tiers))
-	susts := make([]units.BytesPerSecond, len(top.Tiers))
-	for i, t := range top.Tiers {
-		susts[i] = t.SustainedBW()
-		systems[i] = queueing.System{Compulsory: t.Compulsory, PeakBW: susts[i], Curve: t.Queue}
-	}
+// term is tier i's Eq. 5 contribution MPI × sᵢ × MP × BF at miss
+// penalty mp.
+func (c *topoCase) term(i int, mp units.Duration) float64 {
+	return c.p.MPI() * c.sh[i] * float64(mp.Cycles(c.top.CoreSpeed)) * c.p.BF
+}
 
-	// eq5At evaluates Eq. 5 with each tier's loaded latency implied by
-	// the demand at candidate CPI c, and reports the per-tier state.
-	eq5At := func(cpi0 float64) (float64, []TopologyTierPoint) {
-		demandTotal := p.Demand(cpi0, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		cpi := p.CPICache
-		tiers := make([]TopologyTierPoint, len(top.Tiers))
-		for i, t := range top.Tiers {
-			d := demandTotal * units.BytesPerSecond(sh[i])
-			mp := systems[i].LoadedLatency(d)
-			cpi += p.MPI() * sh[i] * float64(mp.Cycles(top.CoreSpeed)) * p.BF
-			tiers[i] = TopologyTierPoint{
-				Name:        t.Name,
+// eq5 evaluates Eq. 5 with each tier's loaded latency implied by its
+// share of the demand at candidate CPI cpi0. A non-nil out receives the
+// per-tier state.
+func (c *topoCase) eq5(cpi0 float64, out []TopologyTierPoint) float64 {
+	total := c.demand(cpi0)
+	cpi := c.p.CPICache
+	for i := range c.sys {
+		d := total * units.BytesPerSecond(c.sh[i])
+		mp := c.sys[i].LoadedLatency(d)
+		cpi += c.term(i, mp)
+		if out != nil {
+			out[i] = TopologyTierPoint{
+				Name:        c.top.Tiers[i].Name,
 				MissPenalty: mp,
 				Demand:      d,
-				Utilization: systems[i].Utilization(d),
+				Utilization: c.sys[i].Utilization(d),
 			}
 		}
-		return cpi, tiers
 	}
+	return cpi
+}
 
-	// Bracket: CPI at zero queuing ≤ fixed point ≤ CPI at max stable
-	// queuing on every tier.
-	lo := p.CPICache
-	for i, t := range top.Tiers {
-		lo += p.MPI() * sh[i] * float64(t.Compulsory.Cycles(top.CoreSpeed)) * p.BF
-	}
-	hi := p.CPICache
-	for i, t := range top.Tiers {
-		maxMP := t.Compulsory + systems[i].Curve.MaxStableDelay()
-		hi += p.MPI() * sh[i] * float64(maxMP.Cycles(top.CoreSpeed)) * p.BF
-	}
-
-	// The scenario solves in CPI space; the converged CPI is Eq. 5
-	// re-evaluated at the final midpoint, which also yields the per-tier
-	// state the limits then annotate.
-	var tiers []TopologyTierPoint
-	sc := solve.Scenario{
-		Name:    p.Name + "@" + top.Name,
-		Unknown: "cpi",
-		Lo:      lo,
-		Hi:      hi,
-		F: func(cpi0 float64) float64 {
-			got, _ := eq5At(cpi0)
-			return got
-		},
-		CPIOf: func(cpi0 float64) float64 {
-			got, ts := eq5At(cpi0)
-			tiers = ts
-			return got
-		},
-	}
-	// Bandwidth-limit check per tier: a tier whose share of the traffic
-	// saturates its channels bounds the whole pipeline. As in the flat
-	// model, the final CPI is the worse of the latency-limited CPI and
-	// each tier's bandwidth-limited CPI (Eq. 4 with BW set to the tier's
-	// sustained bandwidth for its share). The checks chain: a clamp
-	// applied by one tier raises the CPI — and so lowers the demand —
-	// the next tier's saturation test sees.
-	for i, t := range top.Tiers {
-		i, t := i, t
-		sc.Limits = append(sc.Limits, func(_, cpi float64) (solve.Limit, bool) {
-			demandTotal := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-			d := demandTotal * units.BytesPerSecond(sh[i])
-			if float64(d) < float64(susts[i])*0.999 {
-				return solve.Limit{}, false
-			}
-			tiers[i].Saturated = true
-			share := p.BytesPerInstruction(top.LineSize) * sh[i]
-			bwCPI := share * float64(top.CoreSpeed) / (float64(susts[i]) / float64(top.Threads))
-			return solve.Limit{Resource: t.Name, CPI: bwCPI, Bound: true}, true
-		})
-	}
-
-	c.sc = sc
-	c.solver = solve.Solver{Options: solve.Options{Tol: 1e-9, MaxIter: 200}}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
-		eff := 0.0
-		for i := range tiers {
-			tiers[i].Delivered = minBW(tiers[i].Demand, susts[i])
-			eff += sh[i] * float64(tiers[i].MissPenalty)
+// limit is tier i's bandwidth-limit check: a tier whose share of the
+// traffic saturates its channels bounds the whole pipeline, and the
+// final CPI is the worse of the latency-limited CPI and the tier's
+// Eq. 4 CPI at its sustained bandwidth for its share. The checks chain:
+// a clamp applied by one tier raises the CPI — and so lowers the
+// demand — the next tier's saturation test sees.
+func (c *topoCase) limit(i int) solve.LimitFunc {
+	return func(_, cpi float64) (solve.Limit, bool) {
+		sust := float64(c.sys[i].PeakBW)
+		if float64(c.demand(cpi)*units.BytesPerSecond(c.sh[i])) < sust*0.999 {
+			return solve.Limit{}, false
 		}
-		return TopologyPoint{
-			CPI:            out.CPI,
-			EffectiveMP:    units.Duration(eff),
-			Tiers:          tiers,
-			BandwidthBound: out.Regime == solve.BandwidthLimited,
-			Limiter:        out.Limiter,
-			Iterations:     out.Iterations,
-		}, nil
+		c.tiers[i].Saturated = true
+		share := c.p.BytesPerInstruction(c.top.LineSize) * c.sh[i]
+		bwCPI := share * float64(c.top.CoreSpeed) / (sust / float64(c.top.Threads))
+		return solve.Limit{Resource: c.top.Tiers[i].Name, CPI: bwCPI, Bound: true}, true
 	}
 }
 
-// buildLocalRemote compiles the NUMA-style split: tier 0 (local memory)
-// serves the full per-socket demand — by symmetry a socket's channels
-// carry its local traffic plus its peers' inbound remote traffic —
-// while the RemoteFraction share additionally traverses tier 1 (the
-// interconnect). Eq. 1 applies once to the traffic-weighted effective
-// latency, matching the §VIII construction bit-for-bit (efficiency 1).
-func (c *topoCase) buildLocalRemote(p Params, top Topology) {
-	t0, t1 := top.Tiers[0], top.Tiers[1]
-	sust0, sust1 := t0.SustainedBW(), t1.SustainedBW()
-	local := queueing.System{Compulsory: t0.Compulsory, PeakBW: sust0, Curve: t0.Queue}
-	link := queueing.System{Compulsory: t1.Compulsory, PeakBW: sust1, Curve: t1.Queue}
-	rf := top.RemoteFraction
-
-	at := func(cpi float64) (float64, [2]TopologyTierPoint, units.Duration) {
-		perSocket := p.Demand(cpi, top.CoreSpeed, top.LineSize) * units.BytesPerSecond(top.Threads)
-		localDemand := perSocket // local (1−rf) + inbound remote rf
-		linkDemand := perSocket * units.BytesPerSecond(rf)
-
-		localMP := local.LoadedLatency(localDemand)
-		// A remote miss pays the remote tier's loaded latency plus the
-		// interconnect hop (with the link's own queuing).
-		remoteMP := localMP + link.LoadedLatency(linkDemand)
-
-		eff := units.Duration((1-rf)*float64(localMP) + rf*float64(remoteMP))
-		got := p.CPIEffAt(eff, top.CoreSpeed)
-		return got, [2]TopologyTierPoint{
-			{Name: t0.Name, MissPenalty: localMP, Demand: localDemand, Utilization: local.Utilization(localDemand)},
-			{Name: t1.Name, MissPenalty: remoteMP, Demand: linkDemand, Utilization: link.Utilization(linkDemand)},
-		}, eff
-	}
-
-	// Bracket the fixed point between the zero-queue and max-queue CPIs.
-	minMP := units.Duration((1-rf)*float64(t0.Compulsory) + rf*float64(t0.Compulsory+t1.Compulsory))
-	maxMP := minMP + t0.Queue.MaxStableDelay() + units.Duration(rf*float64(t1.Queue.MaxStableDelay()))
-	lo, hi := p.CPIEffAt(minMP, top.CoreSpeed), p.CPIEffAt(maxMP, top.CoreSpeed)
-
-	// The scenario solves in CPI space; the per-tier state at the
-	// converged CPI feeds the bandwidth limits, which use the demands
-	// the solver saw (not recomputed at a clamped CPI — the checks ask
-	// whether the operating point itself saturates).
-	var state [2]TopologyTierPoint
-	var effMP units.Duration
-	sc := solve.Scenario{
-		Name:    p.Name + "@" + top.Name,
-		Unknown: "cpi",
-		Lo:      lo,
-		Hi:      hi,
-		F: func(cpi float64) float64 {
-			got, _, _ := at(cpi)
-			return got
-		},
-		CPIOf: func(cpi float64) float64 {
-			got, st, eff := at(cpi)
-			state = st
-			effMP = eff
-			return got
-		},
-		Limits: []solve.LimitFunc{
-			// Bandwidth limits: local memory first, then the link for the
-			// remote share.
-			func(_, _ float64) (solve.Limit, bool) {
-				if float64(state[0].Demand) < float64(sust0)*0.999 {
-					return solve.Limit{}, false
-				}
-				state[0].Saturated = true
-				bwCPI := p.BytesPerInstruction(top.LineSize) * float64(top.CoreSpeed) /
-					(float64(sust0) / float64(top.Threads))
-				return solve.Limit{Resource: t0.Name, CPI: bwCPI, Bound: true}, true
-			},
-			func(_, _ float64) (solve.Limit, bool) {
-				if rf <= 0 || float64(state[1].Demand) < float64(sust1)*0.999 {
-					return solve.Limit{}, false
-				}
-				state[1].Saturated = true
-				bwCPI := p.BytesPerInstruction(top.LineSize) * rf * float64(top.CoreSpeed) /
-					(float64(sust1) / float64(top.Threads))
-				return solve.Limit{Resource: t1.Name, CPI: bwCPI, Bound: true}, true
-			},
-		},
-	}
-
-	c.sc = sc
-	c.solver = solve.Solver{Options: solve.Options{Tol: 1e-9, MaxIter: 200}}
-	c.point = func(out solve.Outcome) (TopologyPoint, error) {
-		state[0].Delivered = minBW(state[0].Demand, sust0)
-		state[1].Delivered = minBW(state[1].Demand, sust1)
-		return TopologyPoint{
-			CPI:            out.CPI,
-			EffectiveMP:    effMP,
-			Tiers:          state[:],
-			BandwidthBound: out.Regime == solve.BandwidthLimited,
-			Limiter:        out.Limiter,
-			Iterations:     out.Iterations,
-		}, nil
-	}
-}
-
-// result converts a kernel outcome into the case's TopologyPoint: the
-// one place EvaluateTopology and EvaluateTopologyAll build a point. A
-// platform extreme enough to overflow float64 (a 1e308 ns compulsory
-// latency, a 1e300 GHz core) solves to an Inf CPI or NaN demand without
-// any solver error, so a non-finite field is rejected here as an
-// invalid platform rather than returned.
+// result reads a kernel outcome back as the case's TopologyPoint: the
+// one place EvaluateTopology and EvaluateTopologyAll build a point.
+// Demand and utilization are reported at the latency fixed point,
+// before any Eq. 4 clamp. Under SplitLocalRemote tier 1 reports the
+// full remote latency (local plus interconnect) and the effective
+// penalty weighs local and remote misses (1−rf, rf); otherwise it is
+// Σ sᵢ × MPᵢ. A platform extreme enough to overflow float64 (a 1e308 ns
+// compulsory latency) solves to an Inf CPI or NaN demand without any
+// solver error, so a non-finite field is rejected here as an invalid
+// platform rather than returned.
 func (c *topoCase) result(out solve.Outcome) (TopologyPoint, error) {
-	pt, err := c.point(out)
-	if err != nil {
-		return pt, err
+	eff := 0.0
+	for i := range c.tiers {
+		c.tiers[i].Delivered = min(c.tiers[i].Demand, c.sys[i].PeakBW)
+		eff += c.sh[i] * float64(c.tiers[i].MissPenalty)
 	}
-	bad := func(f float64) bool { return math.IsInf(f, 0) || math.IsNaN(f) }
-	nonFinite := bad(pt.CPI) || bad(float64(pt.EffectiveMP))
-	for _, t := range pt.Tiers {
-		nonFinite = nonFinite || bad(float64(t.MissPenalty)) || bad(float64(t.Demand)) ||
-			bad(float64(t.Delivered)) || bad(t.Utilization)
+	if c.top.Policy == SplitLocalRemote {
+		rf := c.top.RemoteFraction
+		local := c.tiers[0].MissPenalty
+		c.tiers[1].MissPenalty += local
+		eff = (1-rf)*float64(local) + rf*float64(c.tiers[1].MissPenalty)
 	}
-	if nonFinite {
-		return TopologyPoint{Iterations: pt.Iterations}, fmt.Errorf(
+	ok := finite(out.CPI, eff)
+	for _, t := range c.tiers {
+		ok = ok && finite(float64(t.MissPenalty), float64(t.Demand), float64(t.Delivered), t.Utilization)
+	}
+	if !ok {
+		return TopologyPoint{Iterations: out.Iterations}, fmt.Errorf(
 			"%w: %s has a non-finite operating point (CPI %g, effective miss penalty %g ns)",
-			ErrInvalidPlatform, c.sc.Name, pt.CPI, float64(pt.EffectiveMP))
+			ErrInvalidPlatform, c.sc.Name, out.CPI, eff)
 	}
-	return pt, nil
+	return TopologyPoint{
+		CPI:            out.CPI,
+		EffectiveMP:    units.Duration(eff),
+		Tiers:          c.tiers,
+		BandwidthBound: out.Regime == solve.BandwidthLimited,
+		Limiter:        out.Limiter,
+		Iterations:     out.Iterations,
+	}, nil
 }
 
-func minBW(a, b units.BytesPerSecond) units.BytesPerSecond {
-	if a < b {
-		return a
+// finite reports whether every value is neither infinite nor NaN.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return false
+		}
 	}
-	return b
+	return true
 }
+
+// topoSolver solves every topology case: bisection on the CPI to 1e-9.
+var topoSolver = solve.Solver{Options: solve.Options{Tol: 1e-9, MaxIter: 200}}
 
 // EvaluateTopology finds the stable operating point of workload class p
 // on an N-tier memory topology — the single evaluator behind Evaluate
@@ -667,7 +484,7 @@ func EvaluateTopology(ctx context.Context, p Params, top Topology) (TopologyPoin
 	if err != nil {
 		return TopologyPoint{}, err
 	}
-	out, err := c.solver.Solve(ctx, c.sc)
+	out, err := topoSolver.Solve(ctx, c.sc)
 	if err != nil {
 		return TopologyPoint{Iterations: out.Iterations}, err
 	}
@@ -699,7 +516,7 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 			scs = append(scs, c.sc)
 		}
 	}
-	outs, errs := solveEach(ctx, cases, scs)
+	outs, errs := topoSolver.SolveEach(ctx, scs)
 	grid := make([][]TopologyPoint, len(classes))
 	for i, p := range classes {
 		grid[i] = make([]TopologyPoint, len(tops))
@@ -722,31 +539,4 @@ func EvaluateTopologyAll(ctx context.Context, classes []Params, tops []Topology)
 // cell that produced it, so wire-level batch errors are actionable.
 func gridErr(i int, p Params, j int, platform string, err error) error {
 	return fmt.Errorf("class %d (%s) × platform %d (%s): %w", i, p.Name, j, platform, err)
-}
-
-// solveEach runs the per-case solvers over the kernel's shared worker
-// pool, preserving per-scenario errors. Cases may carry different
-// solver options; the batch is grouped by options so each group runs
-// through one SolveEach call.
-func solveEach(ctx context.Context, cases []*topoCase, scs []solve.Scenario) ([]solve.Outcome, []error) {
-	outs := make([]solve.Outcome, len(scs))
-	errs := make([]error, len(scs))
-	// Group indices by solver options (flat cases use defaults, CPI-space
-	// cases the tight tolerance) to keep each group one batch call.
-	groups := map[solve.Options][]int{}
-	for k, c := range cases {
-		groups[c.solver.Options] = append(groups[c.solver.Options], k)
-	}
-	for opts, idx := range groups {
-		sub := make([]solve.Scenario, len(idx))
-		for n, k := range idx {
-			sub[n] = scs[k]
-		}
-		subOuts, subErrs := solve.Solver{Options: opts}.SolveEach(ctx, sub)
-		for n, k := range idx {
-			outs[k] = subOuts[n]
-			errs[k] = subErrs[n]
-		}
-	}
-	return outs, errs
 }

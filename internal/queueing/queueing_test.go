@@ -160,6 +160,33 @@ func TestSystemUtilization(t *testing.T) {
 	}
 }
 
+// TestUtilizationNeverNaN: an infinite demand over an infinite peak
+// (Inf/Inf) or a NaN demand reads as saturated, and a measured curve —
+// which indexes its samples by utilization — answers with its maximum
+// delay instead of panicking.
+func TestUtilizationNeverNaN(t *testing.T) {
+	m, err := NewMeasured([]float64{0, 0.5, 0.9}, []units.Duration{0, 5, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := units.BytesPerSecond(math.Inf(1))
+	for _, tc := range []struct {
+		name   string
+		sys    System
+		demand units.BytesPerSecond
+	}{
+		{"inf/inf", System{Compulsory: 75, PeakBW: inf, Curve: m}, inf},
+		{"nan demand", System{Compulsory: 75, PeakBW: 40e9, Curve: m}, units.BytesPerSecond(math.NaN())},
+	} {
+		if got := tc.sys.Utilization(tc.demand); got != 1 {
+			t.Errorf("%s: utilization = %v, want 1", tc.name, got)
+		}
+		if got := tc.sys.LoadedLatency(tc.demand); got != 75+40 {
+			t.Errorf("%s: loaded latency = %v, want the max stable 115ns", tc.name, got)
+		}
+	}
+}
+
 // solvePoint runs the shared kernel on the system's bare scenario and
 // reads back the operating point: the converged miss penalty, its
 // queuing component, the demand and utilization there, and (on
@@ -177,7 +204,13 @@ func solveSystem(sys System, demand DemandFunc, opts solve.Options) (solvePoint,
 	d := demand(mp)
 	pt := solvePoint{MissPenalty: mp, Queue: mp - sys.Compulsory, Demand: d, Utilization: sys.Utilization(d)}
 	if out.Converged {
-		pt.Saturated = sys.Saturated(pt.Utilization)
+		// Saturated at or above the curve's stability limit: its own
+		// ULimit when it declares one, 0.95 otherwise.
+		limit := 0.95
+		if l, ok := sys.Curve.(interface{ ULimit() float64 }); ok {
+			limit = l.ULimit()
+		}
+		pt.Saturated = pt.Utilization >= limit-1e-9
 	}
 	return pt, err
 }

@@ -1,6 +1,8 @@
 package queueing
 
 import (
+	"math"
+
 	"repro/internal/solve"
 	"repro/internal/units"
 )
@@ -20,7 +22,9 @@ func (s System) LoadedLatency(demand units.BytesPerSecond) units.Duration {
 	return s.Compulsory + s.Curve.Delay(s.Utilization(demand))
 }
 
-// Utilization returns demand/peak clamped to [0, 1].
+// Utilization returns demand/peak clamped to [0, 1]. A NaN ratio (an
+// Inf/Inf or Inf×0 upstream) reads as saturated, so no curve is ever
+// asked for the delay at NaN.
 func (s System) Utilization(demand units.BytesPerSecond) float64 {
 	if s.PeakBW <= 0 {
 		return 1
@@ -29,27 +33,10 @@ func (s System) Utilization(demand units.BytesPerSecond) float64 {
 	if u < 0 {
 		return 0
 	}
-	if u > 1 {
+	if u > 1 || math.IsNaN(u) {
 		return 1
 	}
 	return u
-}
-
-// SaturationLimit is the utilization at/above which the system should be
-// treated as bandwidth bound: the curve's own stability limit when it
-// declares one (Measured curves calibrate it from data), 0.95 otherwise.
-func (s System) SaturationLimit() float64 {
-	type limiter interface{ ULimit() float64 }
-	if l, ok := s.Curve.(limiter); ok {
-		return l.ULimit()
-	}
-	return 0.95
-}
-
-// Saturated reports whether utilization u is at/above the curve's stable
-// limit, i.e. the workload should be treated as bandwidth bound.
-func (s System) Saturated(u float64) bool {
-	return u >= s.SaturationLimit()-1e-9
 }
 
 // DemandFunc maps a miss penalty (loaded latency) to the bandwidth the
@@ -66,10 +53,10 @@ type DemandFunc func(mp units.Duration) units.BytesPerSecond
 // left end (queuing delay cannot be negative), non-positive at the right
 // end (delay is capped at the stable maximum), and decreasing for any
 // demand that falls as the miss penalty rises — which Eq. 1 + Eq. 4
-// guarantee — so bisection always brackets the fixed point. The flat
-// evaluator in internal/model extends the returned scenario with its CPI
-// conversion and bandwidth limits; solve.Solver runs it bare or
-// extended.
+// guarantee — so bisection always brackets the fixed point. It is the
+// single-resource loop in loaded-latency space, without a CPI
+// conversion or bandwidth limits; the model's evaluators solve the
+// Eq. 5 form in CPI space instead (internal/model/topology.go).
 func (s System) Scenario(name string, demand DemandFunc) solve.Scenario {
 	return solve.Scenario{
 		Name:    name,

@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -144,16 +145,27 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any
 	c.fmu.Unlock()
 
 	c.misses.Add(1)
+	// Release the flight even if fn panics, so the key is not left
+	// claimed by a solve that will never finish: followers then get
+	// errSolvePanicked, which fn's own result replaces when it returns,
+	// and the panic propagates to the caller.
+	call.err = errSolvePanicked
+	defer func() {
+		c.fmu.Lock()
+		delete(c.flight, key)
+		c.fmu.Unlock()
+		close(call.done)
+	}()
 	call.val, call.err = fn()
 	if call.err == nil {
 		c.put(key, call.val)
 	}
-	c.fmu.Lock()
-	delete(c.flight, key)
-	c.fmu.Unlock()
-	close(call.done)
 	return call.val, false, call.err
 }
+
+// errSolvePanicked is what followers of a flight whose solve panicked
+// receive.
+var errSolvePanicked = errors.New("serve: solve panicked")
 
 // CacheStats is a point-in-time copy of the cache counters.
 type CacheStats struct {

@@ -52,6 +52,40 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
+// TestCachePanicReleasesFlight: when the leader's fn panics, the panic
+// reaches the leader, the flight a follower would wait on is closed
+// with errSolvePanicked, and the key is free for the next caller.
+func TestCachePanicReleasesFlight(t *testing.T) {
+	c := NewCache(64)
+	ctx := context.Background()
+	inFn, gate := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		c.Do(ctx, "k", func() (any, error) {
+			close(inFn)
+			<-gate
+			panic("boom")
+		})
+	}()
+	<-inFn
+	c.fmu.Lock()
+	call := c.flight["k"]
+	c.fmu.Unlock()
+	close(gate)
+	if r := <-recovered; r == nil {
+		t.Error("leader must see fn's panic")
+	}
+	<-call.done
+	if !errors.Is(call.err, errSolvePanicked) {
+		t.Errorf("flight err = %v, want errSolvePanicked", call.err)
+	}
+	v, cached, err := c.Do(ctx, "k", func() (any, error) { return 2, nil })
+	if err != nil || cached || v != 2 {
+		t.Fatalf("Do after the panic = (%v, %v, %v), want (2, false, nil)", v, cached, err)
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	// Capacity 16 = one entry per shard, so a second distinct key on a
 	// shard evicts the first.

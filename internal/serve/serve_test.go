@@ -504,3 +504,84 @@ func TestNonFiniteOperatingPointRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestHugeFiniteInputsNoPanic: wire values that are finite in JSON but
+// overflow once scaled (1e300 GHz, 1e300 GB/s) or meet a zero share
+// (Inf×0) must not reach a measured curve as a NaN utilization, which
+// indexes past its samples. Each body gets a 400 invalid_platform or a
+// 200 whose numbers are all finite — never a panic.
+func TestHugeFiniteInputsNoPanic(t *testing.T) {
+	const measured = `{"type":"measured","points":[{"utilization":0,"delay_ns":0},{"utilization":0.5,"delay_ns":5},{"utilization":0.9,"delay_ns":40}]}`
+	cases := []struct {
+		name, path, body string
+	}{
+		{"evaluate-ghz-peak", "/v1/evaluate", `{"params":{"class":"bigdata"},"platform":{"ghz":1e300,"peak_gbps":1e300,"queue":` + measured + `}}`},
+		{"topology-ghz-zero-share", "/v1/evaluate/topology", `{"params":{"class":"hpc"},"topology":{"ghz":1e299,"tiers":[
+			{"name":"near","share":1,"compulsory_ns":75,"peak_gbps":42,"queue":` + measured + `},
+			{"name":"far","share":0,"compulsory_ns":300,"peak_gbps":10,"queue":` + measured + `}]}}`},
+	}
+	h := New().Handler()
+	for _, tc := range cases {
+		var status int
+		var blob []byte
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					status = 0
+					blob = []byte(fmt.Sprint("panic: ", r))
+				}
+			}()
+			status, blob, _ = doJSON(t, h, http.MethodPost, tc.path, tc.body)
+		}()
+		switch status {
+		case http.StatusBadRequest:
+			var env api.ErrorBody
+			if err := json.Unmarshal(blob, &env); err != nil || env.Error.Code != api.CodeInvalidPlatform {
+				t.Errorf("%s: 400 body %q, want code %q", tc.name, blob, api.CodeInvalidPlatform)
+			}
+		case http.StatusOK:
+			// encoding/json refuses NaN and Inf, so a decodable 200 has
+			// only finite numbers.
+			if !json.Valid(blob) || strings.Contains(string(blob), "Inf") || strings.Contains(string(blob), "NaN") {
+				t.Errorf("%s: 200 body is not finite JSON: %q", tc.name, blob)
+			}
+		default:
+			t.Errorf("%s: status = %d, want 400 or 200: %q", tc.name, status, blob)
+		}
+	}
+}
+
+// TestPanickedSolveReleasesKey: a cold solve that panics must not leave
+// its cache key claimed. The next identical request is solved, not
+// parked on the dead flight until its deadline (a 504).
+func TestPanickedSolveReleasesKey(t *testing.T) {
+	s := New(WithRequestTimeout(300 * time.Millisecond))
+	var panicked atomic.Bool
+	s.testHookSolve = func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("solve blew up")
+		}
+	}
+	h := s.Handler()
+	body := `{"params":{"class":"bigdata"},"platform":{}}`
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Error("the first solve's panic must reach the caller")
+			}
+		}()
+		doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+	}()
+	start := time.Now()
+	status, blob, _ := doJSON(t, h, http.MethodPost, "/v1/evaluate", body)
+	if status != http.StatusOK {
+		t.Fatalf("repeat after a panicked solve = %d after %v, want 200: %s", status, time.Since(start), blob)
+	}
+	var resp api.EvaluateResponse
+	if err := json.Unmarshal(blob, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Cached {
+		t.Error("the repeat must be a fresh solve, not a cached reply")
+	}
+}

@@ -113,9 +113,9 @@ type LimitFunc func(x, cpi float64) (Limit, bool)
 // Scenario is one fixed-point problem handed to the Solver: the supply
 // side and per-thread demand adapter of an evaluator, composed into a
 // scalar unknown. The unknown is whatever coordinate makes the map
-// monotone and the bracket natural — a one-tier topology solves in
-// loaded-latency space (ns), tiered and local/remote topologies in CPI
-// space (the coupling runs through the scalar CPI in Eq. 5).
+// monotone and the bracket natural — every model topology solves in
+// CPI space (the Eq. 5 coupling runs through the scalar CPI), while
+// queueing.System.Scenario offers the bare loaded-latency (ns) form.
 type Scenario struct {
 	// Name labels the scenario in telemetry (workload @ platform).
 	Name string
@@ -283,7 +283,10 @@ func bisect(sc Scenario, o Options) (Outcome, error) {
 		out.X = mid
 		out.Residual = math.Abs(f)
 		out.Iterations = i + 1
-		if math.Abs(f) < o.Tol || hi-lo < o.Tol {
+		// A midpoint equal to an end means lo and hi are adjacent
+		// floats: the root is pinned to float64 precision, which an
+		// absolute Tol can undercut at extreme magnitudes.
+		if math.Abs(f) < o.Tol || hi-lo < o.Tol || mid == lo || mid == hi {
 			out.Converged = true
 			return out, nil
 		}

@@ -66,6 +66,23 @@ func TestBisectDegenerateBracket(t *testing.T) {
 	}
 }
 
+// TestBisectConvergesAtFloatPrecision: at magnitudes where the absolute
+// Tol is finer than one ulp, bisection stops once lo and hi are
+// adjacent floats instead of spinning to MaxIter.
+func TestBisectConvergesAtFloatPrecision(t *testing.T) {
+	sc := affine(3.4e299, -1, 1e299, 3e299) // fixed point 1.7e299
+	out, err := Solver{Options: Options{Tol: 1e-9, MaxIter: 200}}.Solve(context.Background(), sc)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if !out.Converged || math.Abs(out.X-1.7e299) > 1.7e299*1e-15 {
+		t.Errorf("X = %v (converged %v), want 1.7e299", out.X, out.Converged)
+	}
+	if out.Iterations > 60 {
+		t.Errorf("Iterations = %d, want the ~53 halvings to one ulp", out.Iterations)
+	}
+}
+
 func TestDampedMatchesBisect(t *testing.T) {
 	sc := affine(20, -0.25, 0, 200)
 	want := 20.0 / 1.25

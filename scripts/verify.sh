@@ -28,6 +28,9 @@ go build ./...
 echo "== go test (tier 1)"
 go test ./...
 
+echo "== go test -fuzz FuzzEvaluateTopology (10s)"
+go test -run '^$' -fuzz '^FuzzEvaluateTopology$' -fuzztime 10s -parallel 2 ./internal/model/
+
 echo "== go test -race (sim + cluster + engine + experiments + simcache + serve + client + workgen)"
 go test -race -timeout 30m ./internal/sim/ ./internal/cluster/ ./internal/engine/ ./internal/experiments/ ./internal/simcache/ ./internal/serve/ ./client/ ./internal/workgen/
 
